@@ -18,14 +18,13 @@ from .intervals import (
     EMPTY_INFIMUM, EMPTY_SUPREMUM, NEG_INF, POS_INF,
     Interval, IntervalUnion, as_union, canonicalize_interval, convex_components,
     format_interval, format_union, infimum, interval_length, interval_member,
-    lower_ray, open_interval, parse_interval, parse_union, singleton,
-    supremum, upper_ray,
+    lower_ray, open_interval, parse_interval, parse_union, random_interval,
+    random_interval_union, singleton, supremum, upper_ray,
 )
 from .measure import Atom, DensitySegment, MeasureSpec, atom_set, measure_of
 from .oracle import (
     FiniteCase, check_proposition_suite, enumerate_subset_measures,
-    grid_invert, random_atomic_spec, random_interval, random_interval_union,
-    random_point, suite_passed,
+    grid_invert, random_atomic_spec, suite_passed,
 )
 from .quantile import (
     BijectivityReport, GPiece, PseudoInverse, UnitInterval,
@@ -39,7 +38,8 @@ from .sampling import (
 from .spaces import (
     EQUAL, GREATER, LESS, MAX_MARKER, MIN_MARKER,
     FiniteSpace, IntRangeSpace, IsolationReport, LexSpace, OrderedSpace,
-    RealIntervalSpace, classify_isolation, space_from_config, space_to_config,
+    RealIntervalSpace, classify_isolation, random_point, space_from_config,
+    space_to_config,
 )
 
 __version__ = "0.1.0"

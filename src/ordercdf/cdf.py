@@ -14,10 +14,11 @@ from typing import List, Optional, Tuple
 
 from .errors import DomainError, PropositionViolation
 from .intervals import (
-    NEG_INF, POS_INF, Interval, is_infinite, lower_ray, singleton,
+    NEG_INF, POS_INF, Interval, ext_cmp, is_infinite, lower_ray,
+    random_interval_union, singleton,
 )
-from .measure import MeasureSpec, _sort_key, atom_set
-from .spaces import LESS, EQUAL, GREATER, LexSpace, OrderedSpace, RealIntervalSpace
+from .measure import MeasureSpec, atom_set, measure_of
+from .spaces import LESS, EQUAL, GREATER, OrderedSpace
 
 #: h-ladder used by the continuity scans.
 H_LADDER = (1e-3, 1e-6, 1e-9)
@@ -35,6 +36,11 @@ class Cdf:
         self.space = space
         self.spec = spec
         self._breakpoints = self._collect_breakpoints()
+        # (key of lo, key of hi, inner coordinate of lo, segment) per segment
+        self._segment_keys = [
+            (space.key(s.interval.lo), space.key(s.interval.hi),
+             space.split(s.interval.lo)[1], s)
+            for s in spec.segments]
 
     def _collect_breakpoints(self) -> List[object]:
         pts = []
@@ -51,7 +57,7 @@ class Cdf:
         for s in self.spec.segments:
             add(s.interval.lo)
             add(s.interval.hi)
-        pts.sort(key=lambda p: _sort_key(self.space, p))
+        pts.sort(key=self.space.key)
         return pts
 
     def breakpoints(self) -> List[object]:
@@ -68,27 +74,13 @@ class Cdf:
         for a in self.spec.atoms:
             if self.space._cmp(a.at, value) == LESS:
                 total += a.mass
-        for s in self.spec.segments:
-            total += self._segment_mass_below(s, value)
+        key = self.space.key(value)
+        for lo_key, hi_key, u, s in self._segment_keys:
+            if key >= hi_key:
+                total += s.mass
+            elif key > lo_key:  # value lies inside the segment's fiber run
+                total += s.density * (self.space.split(value)[1] - u)
         return total
-
-    def _segment_mass_below(self, seg, value) -> float:
-        if isinstance(self.space, RealIntervalSpace):
-            u, v = float(seg.interval.lo), float(seg.interval.hi)
-            x = float(value)
-        else:  # lex: the segment lives inside a single fiber
-            (o_seg, u), (_, v) = seg.interval.lo, seg.interval.hi
-            o, x = value
-            c = self.space.outer._cmp(o, o_seg)
-            if c == LESS:
-                return 0.0
-            if c == GREATER:
-                return seg.mass
-        if x <= u:
-            return 0.0
-        if x >= v:
-            return seg.mass
-        return seg.density * (x - u)
 
     def _atom_mass(self, value) -> float:
         if is_infinite(value):
@@ -111,7 +103,6 @@ class Cdf:
     # -- interval formulas --------------------------------------------
     def interval_measure(self, iv: Interval) -> float:
         """Closure-flag dispatch: e.g. mu(]a,b]) = F(b) - F(a)."""
-        from .intervals import ext_cmp
         if not is_infinite(iv.lo) and not is_infinite(iv.hi):
             if ext_cmp(self.space, iv.lo, iv.hi) == GREATER:
                 raise DomainError(f"interval {iv} has lo > hi")
@@ -122,33 +113,22 @@ class Cdf:
         return max(hi_term - lo_term, 0.0)
 
     # -- sup/inf companions (independent scans) -----------------------
+    def _ladder_points(self, x, sign):
+        """x moved by sign * h along its real fiber, for h in the ladder."""
+        if not self.space.segments_allowed:
+            return
+        region, t = self.space.split(x)
+        fib = self.space.fiber(region)
+        for h in H_LADDER:
+            y = t + sign * h
+            if fib.contains(y) and y != t:
+                yield self.space.join(region, y)
+
     def _ladder_points_below(self, x):
-        if isinstance(self.space, RealIntervalSpace):
-            for h in H_LADDER:
-                y = float(x) - h
-                if self.space.contains(y) and y < float(x):
-                    yield y
-        elif isinstance(self.space, LexSpace):
-            o, t = x
-            fib = self.space.fiber(o)
-            for h in H_LADDER:
-                y = t - h
-                if fib.contains(y) and y < t:
-                    yield (o, y)
+        return self._ladder_points(x, -1)
 
     def _ladder_points_above(self, x):
-        if isinstance(self.space, RealIntervalSpace):
-            for h in H_LADDER:
-                y = float(x) + h
-                if self.space.contains(y) and y > float(x):
-                    yield y
-        elif isinstance(self.space, LexSpace):
-            o, t = x
-            fib = self.space.fiber(o)
-            for h in H_LADDER:
-                y = t + h
-                if fib.contains(y) and y > t:
-                    yield (o, y)
+        return self._ladder_points(x, +1)
 
     def sup_F_below(self, x) -> float:
         """sup of F over (< x); scanned independently, returns F_minus(x)."""
@@ -240,8 +220,6 @@ def measure_uniqueness_check(cdf1: Cdf, cdf2: Cdf, n_random: int = 10_000,
     random interval unions; a disagreement returns the first witness.
     """
     import random as _random
-    from .measure import measure_of
-    from .oracle import random_interval_union
 
     if cdf1.space is not cdf2.space:
         raise DomainError("cdfs live on different spaces")

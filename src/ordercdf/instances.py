@@ -6,7 +6,7 @@ junction, and an incomplete space with an excluded endpoint.
 """
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .cdf import Cdf
 from .errors import ConfigError
@@ -105,6 +105,3 @@ def instance_cdf(name: str) -> Cdf:
 def instance_gi(name: str) -> PseudoInverse:
     return PseudoInverse(instance_cdf(name))
 
-
-def all_instances() -> Dict[str, Cdf]:
-    return {name: instance_cdf(name) for name in INSTANCE_NAMES}

@@ -4,7 +4,8 @@ Intervals carry two closure flags and may be written with infinite
 endpoints; unions are kept in a canonical form (pairwise disjoint,
 non-adjacent, sorted), so set equality is representation equality.
 
-Canonicalization pins down one representation per set:
+Canonicalization pins down one representation per set; each space kind
+applies these rules in its ``canon_lo`` / ``canon_hi``:
 
 * infinite endpoints are clamped to the space's bounds,
 * endpoints that are not points of the space (an excluded real boundary)
@@ -17,14 +18,12 @@ Canonicalization pins down one representation per set:
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from .errors import DomainError
-from .spaces import (
-    EQUAL, GREATER, LESS,
-    FiniteSpace, IntRangeSpace, LexSpace, OrderedSpace, RealIntervalSpace,
-)
+from .spaces import EQUAL, GREATER, LESS, OrderedSpace
 
 
 class _Infinity:
@@ -98,134 +97,11 @@ def upper_ray(x, closed: bool = True) -> Interval:
 # canonicalization
 
 
-def _canon_lo(space, lo, closed):
-    """Returns (lo, closed) normalized, or 'empty' when nothing remains."""
-    if isinstance(space, RealIntervalSpace):
-        if is_infinite(lo) or (not is_infinite(lo) and lo < space.lo):
-            lo, closed = space.lo, True
-        lo = float(lo)
-        if lo == space.lo and not space.include_lo:
-            closed = False
-        if lo == space.hi and not space.include_hi:
-            closed = False
-        if lo > space.hi:
-            return "empty"
-        return lo, closed
-    if isinstance(space, (FiniteSpace, IntRangeSpace)):
-        if is_infinite(lo):
-            return space.minimum(), True
-        if isinstance(space, IntRangeSpace):
-            if not float(lo).is_integer():
-                lo, closed = int(-(-float(lo) // 1)), True  # ceil
-            else:
-                lo = int(lo)
-            if not closed:
-                lo, closed = lo + 1, True
-            if lo < space.lo:
-                lo = space.lo
-            if lo > space.hi:
-                return "empty"
-            return lo, closed
-        space.require(lo)
-        if not closed:
-            lo = space.successor(lo)
-            if lo is None:
-                return "empty"
-            closed = True
-        return lo, closed
-    if isinstance(space, LexSpace):
-        if is_infinite(lo):
-            first = space.outer.labels[0]
-            fib = space.fibers[first]
-            return (first, fib.lo), fib.include_lo
-        o, t = lo
-        fib = space.fiber(o)
-        t = float(t)
-        if t < fib.lo:
-            t, closed = fib.lo, True
-        if t == fib.lo and not fib.include_lo:
-            closed = False
-        if t > fib.hi or (t == fib.hi and not fib.include_hi):
-            closed = False
-            t = fib.hi
-        if t == fib.hi and not closed:
-            # ]{top of fiber o}, ...] starts at the bottom of the next fiber.
-            nxt = space.outer.successor(o)
-            if nxt is None:
-                return "empty"
-            nfib = space.fibers[nxt]
-            return (nxt, nfib.lo), nfib.include_lo
-        if t == fib.hi and closed and not fib.include_hi:
-            # unreachable: handled above, kept for clarity
-            closed = False
-        return (o, t), closed
-    raise DomainError(f"unsupported space kind {space.kind!r}")
-
-
-def _canon_hi(space, hi, closed):
-    if isinstance(space, RealIntervalSpace):
-        if is_infinite(hi) or (not is_infinite(hi) and hi > space.hi):
-            hi, closed = space.hi, True
-        hi = float(hi)
-        if hi == space.hi and not space.include_hi:
-            closed = False
-        if hi == space.lo and not space.include_lo:
-            closed = False
-        if hi < space.lo:
-            return "empty"
-        return hi, closed
-    if isinstance(space, (FiniteSpace, IntRangeSpace)):
-        if is_infinite(hi):
-            return space.maximum(), True
-        if isinstance(space, IntRangeSpace):
-            if not float(hi).is_integer():
-                hi, closed = int(float(hi) // 1), True  # floor
-            else:
-                hi = int(hi)
-            if not closed:
-                hi, closed = hi - 1, True
-            if hi > space.hi:
-                hi = space.hi
-            if hi < space.lo:
-                return "empty"
-            return hi, closed
-        space.require(hi)
-        if not closed:
-            hi = space.predecessor(hi)
-            if hi is None:
-                return "empty"
-            closed = True
-        return hi, closed
-    if isinstance(space, LexSpace):
-        if is_infinite(hi):
-            last = space.outer.labels[-1]
-            fib = space.fibers[last]
-            return (last, fib.hi), fib.include_hi
-        o, t = hi
-        fib = space.fiber(o)
-        t = float(t)
-        if t > fib.hi:
-            t, closed = fib.hi, True
-        if t == fib.hi and not fib.include_hi:
-            closed = False
-        if t < fib.lo or (t == fib.lo and not fib.include_lo):
-            closed = False
-            t = fib.lo
-        if t == fib.lo and not closed:
-            prv = space.outer.predecessor(o)
-            if prv is None:
-                return "empty"
-            pfib = space.fibers[prv]
-            return (prv, pfib.hi), pfib.include_hi
-        return (o, t), closed
-    raise DomainError(f"unsupported space kind {space.kind!r}")
-
-
 def canonicalize_interval(space: OrderedSpace, iv: Interval) -> Optional[Interval]:
     """Unique representation of the same point set, or None if empty."""
-    lo = _canon_lo(space, iv.lo, iv.lo_closed)
-    hi = _canon_hi(space, iv.hi, iv.hi_closed)
-    if lo == "empty" or hi == "empty":
+    lo = space.canon_lo(None if is_infinite(iv.lo) else iv.lo, iv.lo_closed)
+    hi = space.canon_hi(None if is_infinite(iv.hi) else iv.hi, iv.hi_closed)
+    if lo is None or hi is None:
         return None
     (lov, loc), (hiv, hic) = lo, hi
     c = space._cmp(lov, hiv)
@@ -366,10 +242,6 @@ class IntervalUnion:
         return any(interval_member(self.space, x, iv) for iv in self.intervals)
 
 
-def membership(space: OrderedSpace, x, u: IntervalUnion) -> bool:
-    return u.member(x)
-
-
 def convex_components(space: OrderedSpace, subset) -> List[Interval]:
     """Maximal convex pieces of a finite union of intervals/points."""
     u = as_union(space, subset)
@@ -424,14 +296,29 @@ def supremum(space: OrderedSpace, subset):
 
 def interval_length(space: OrderedSpace, iv: Interval) -> float:
     """Order-length used by uniform densities; 0 for discrete kinds."""
-    if isinstance(space, RealIntervalSpace):
-        return float(iv.hi) - float(iv.lo)
-    if isinstance(space, LexSpace):
-        (o1, t1), (o2, t2) = iv.lo, iv.hi
-        if o1 != o2:
-            raise DomainError("length across lex fibers is not defined")
-        return float(t2) - float(t1)
-    return 0.0
+    return space.length(iv)
+
+
+# ---------------------------------------------------------------------------
+# random generators for property tests
+
+
+def random_interval(space: OrderedSpace, rng: random.Random) -> Interval:
+    """A raw (not yet canonical) random interval, rays included."""
+    roll = rng.random()
+    lo = NEG_INF if roll < 0.1 else space.random_point(rng)
+    hi = POS_INF if roll > 0.9 else space.random_point(rng)
+    if lo is not NEG_INF and hi is not POS_INF and space._cmp(lo, hi) == GREATER:
+        lo, hi = hi, lo
+    return Interval(lo, hi,
+                    lo is not NEG_INF and rng.random() < 0.5,
+                    hi is not POS_INF and rng.random() < 0.5)
+
+
+def random_interval_union(space: OrderedSpace, rng: random.Random,
+                          max_pieces: int = 3) -> IntervalUnion:
+    n = rng.randint(1, max_pieces)
+    return IntervalUnion(space, [random_interval(space, rng) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -444,22 +331,7 @@ def _parse_endpoint(space, text):
         return NEG_INF
     if text in ("inf", "+inf", "oo", "+oo"):
         return POS_INF
-    if isinstance(space, RealIntervalSpace):
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise DomainError(f"bad endpoint {text!r}") from exc
-    if isinstance(space, LexSpace):
-        if not (text.startswith("(") and text.endswith(")")):
-            raise DomainError(f"bad lex endpoint {text!r}")
-        o, t = text[1:-1].split(",", 1)
-        o = o.strip()
-        space.fiber(o)  # validates the outer label
-        try:
-            return (o, float(t))
-        except ValueError as exc:
-            raise DomainError(f"bad lex endpoint {text!r}") from exc
-    return space.parse_point(text)
+    return space.parse_endpoint(text)
 
 
 def _split_top_level(text: str, sep: str = ","):

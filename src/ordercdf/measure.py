@@ -10,10 +10,8 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import ConstructionError
-from .intervals import (
-    Interval, IntervalUnion, as_union, canonicalize_interval, interval_length,
-)
-from .spaces import LESS, LexSpace, OrderedSpace, RealIntervalSpace
+from .intervals import Interval, IntervalUnion, as_union, canonicalize_interval
+from .spaces import OrderedSpace
 
 #: Construction tolerance for the total mass; a violation is an error.
 MASS_TOLERANCE = 1e-12
@@ -57,9 +55,9 @@ class MeasureSpec:
                 raise ConstructionError(f"duplicate atom at {at!r}")
             seen.append(at)
             atom_list.append(Atom(at, float(mass)))
-        atom_list.sort(key=lambda a: _sort_key(space, a.at))
+        atom_list.sort(key=lambda a: space.key(a.at))
 
-        if segments and not isinstance(space, (RealIntervalSpace, LexSpace)):
+        if segments and not space.segments_allowed:
             raise ConstructionError("density segments need a real-interval region")
         seg_list = []
         for interval, mass in segments:
@@ -68,7 +66,9 @@ class MeasureSpec:
                 raise ConstructionError(f"segment {interval} is empty")
             if not mass > 0:
                 raise ConstructionError(f"segment {canon} must have positive mass")
-            length = interval_length(space, canon)
+            if space.split(canon.lo)[0] != space.split(canon.hi)[0]:
+                raise ConstructionError(f"segment {canon} must lie in one fiber")
+            length = space.length(canon)
             if not length > 0:
                 raise ConstructionError(f"segment {canon} has zero length")
             seg_list.append(DensitySegment(canon, float(mass), float(mass) / length))
@@ -77,9 +77,9 @@ class MeasureSpec:
                 ua = IntervalUnion(space, (a.interval,))
                 ub = IntervalUnion(space, (b.interval,))
                 inter = ua.intersect(ub)
-                if any(interval_length(space, iv) > 0 for iv in inter.intervals):
+                if any(space.length(iv) > 0 for iv in inter.intervals):
                     raise ConstructionError(f"segments {a.interval} and {b.interval} overlap")
-        seg_list.sort(key=lambda s: _sort_key(space, s.interval.lo))
+        seg_list.sort(key=lambda s: space.key(s.interval.lo))
 
         total = sum(a.mass for a in atom_list) + sum(s.mass for s in seg_list)
         if not atom_list and not seg_list:
@@ -100,18 +100,6 @@ class MeasureSpec:
         return max((s.density for s in self.segments), default=0.0)
 
 
-def _sort_key(space, endpoint):
-    # endpoints here are always finite points or quasi-points
-    if isinstance(space, LexSpace):
-        o, t = endpoint
-        return (space.outer._index[o], t)
-    if isinstance(space, RealIntervalSpace):
-        return (float(endpoint),)
-    if hasattr(space, "_index"):
-        return (space._index[endpoint],)
-    return (endpoint,)
-
-
 def measure_of(spec: MeasureSpec, subset) -> float:
     """mu of a set in the algebra, evaluated geometrically."""
     u = as_union(spec.space, subset)
@@ -123,7 +111,7 @@ def measure_of(spec: MeasureSpec, subset) -> float:
         seg_union = IntervalUnion(spec.space, (s.interval,))
         overlap = seg_union.intersect(u)
         for piece in overlap.intervals:
-            total += s.density * interval_length(spec.space, piece)
+            total += s.density * spec.space.length(piece)
     return total
 
 

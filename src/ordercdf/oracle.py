@@ -15,13 +15,10 @@ from typing import Iterable, List, Optional, Tuple
 
 from .errors import DomainError, PropositionViolation
 from .intervals import (
-    NEG_INF, POS_INF, Interval, IntervalUnion, interval_member, singleton,
+    Interval, IntervalUnion, random_interval, random_interval_union,
 )
 from .measure import MeasureSpec, atom_set, measure_of
-from .spaces import (
-    EQUAL, GREATER, LESS,
-    FiniteSpace, IntRangeSpace, LexSpace, OrderedSpace, RealIntervalSpace,
-)
+from .spaces import EQUAL, GREATER, LESS, FiniteSpace
 
 #: Power-set enumeration refuses larger universes (2^8 = 256 subsets).
 SIZE_CAP = 8
@@ -29,40 +26,6 @@ SIZE_CAP = 8
 
 # ---------------------------------------------------------------------------
 # random generators for property tests
-
-
-def random_point(space: OrderedSpace, rng: random.Random):
-    if isinstance(space, FiniteSpace):
-        return rng.choice(space.labels)
-    if isinstance(space, IntRangeSpace):
-        return rng.randint(space.lo, space.hi)
-    if isinstance(space, RealIntervalSpace):
-        while True:
-            x = space.lo + rng.random() * (space.hi - space.lo)
-            if space.contains(x):
-                return x
-    if isinstance(space, LexSpace):
-        o = rng.choice(space.outer.labels)
-        return (o, random_point(space.fiber(o), rng))
-    raise DomainError(f"unsupported space kind {space.kind!r}")
-
-
-def random_interval(space: OrderedSpace, rng: random.Random) -> Interval:
-    """A raw (not yet canonical) random interval, rays included."""
-    roll = rng.random()
-    lo = NEG_INF if roll < 0.1 else random_point(space, rng)
-    hi = POS_INF if roll > 0.9 else random_point(space, rng)
-    if lo is not NEG_INF and hi is not POS_INF and space._cmp(lo, hi) == GREATER:
-        lo, hi = hi, lo
-    return Interval(lo, hi,
-                    lo is not NEG_INF and rng.random() < 0.5,
-                    hi is not POS_INF and rng.random() < 0.5)
-
-
-def random_interval_union(space: OrderedSpace, rng: random.Random,
-                          max_pieces: int = 3) -> IntervalUnion:
-    n = rng.randint(1, max_pieces)
-    return IntervalUnion(space, [random_interval(space, rng) for _ in range(n)])
 
 
 def random_atomic_spec(space, rng: random.Random) -> MeasureSpec:
@@ -130,51 +93,33 @@ def grid_invert(cdf, r: float, resolution: float = 1e-6):
         raise DomainError(f"quantile level {r!r} outside [0, 1]")
     space = cdf.space
 
-    if isinstance(space, (FiniteSpace, IntRangeSpace)):
+    if not space.segments_allowed:
         for x in space.dense_points():
             if cdf.eval_F(x) >= r:
                 return x
         raise DomainError("super-level set empty at grid scale")
 
-    def invert_real(fib: RealIntervalSpace):
+    for region in space.regions:
+        fib = space.fiber(region)
+
         def grid_point(i: int):
-            y = fib.lo + i * resolution
-            y = min(y, fib.hi)
+            y = min(fib.lo + i * resolution, fib.hi)
             if not fib.contains(y):
                 # excluded boundary: step just inside
                 y = math.nextafter(y, (fib.lo + fib.hi) / 2)
-            return y
+            return space.join(region, y)
 
-        n = int(math.ceil((fib.hi - fib.lo) / resolution))
-        return grid_point, n
-
-    def search(fcdf_eval, grid_point, n):
-        lo_i, hi_i = 0, n
-        if fcdf_eval(grid_point(hi_i)) < r:
-            return None
+        lo_i, hi_i = 0, int(math.ceil((fib.hi - fib.lo) / resolution))
+        if cdf.eval_F(grid_point(hi_i)) < r:
+            continue
         while lo_i < hi_i:
             mid = (lo_i + hi_i) // 2
-            if fcdf_eval(grid_point(mid)) >= r:
+            if cdf.eval_F(grid_point(mid)) >= r:
                 hi_i = mid
             else:
                 lo_i = mid + 1
         return grid_point(lo_i)
-
-    if isinstance(space, RealIntervalSpace):
-        grid_point, n = invert_real(space)
-        found = search(cdf.eval_F, grid_point, n)
-        if found is None:
-            raise DomainError("super-level set empty at grid scale")
-        return found
-    if isinstance(space, LexSpace):
-        for o in space.outer.labels:
-            fib = space.fiber(o)
-            grid_point, n = invert_real(fib)
-            found = search(lambda y: cdf.eval_F((o, y)), grid_point, n)
-            if found is not None:
-                return (o, found)
-        raise DomainError("super-level set empty at grid scale")
-    raise DomainError(f"unsupported space kind {space.kind!r}")
+    raise DomainError("super-level set empty at grid scale")
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +129,7 @@ def grid_invert(cdf, r: float, resolution: float = 1e-6):
 def _probe_points(space, rng, n):
     import itertools
     pts = list(itertools.islice(space.dense_points(), min(n, 32)))
-    pts += [random_point(space, rng) for _ in range(n)]
+    pts += [space.random_point(rng) for _ in range(n)]
     return pts
 
 
@@ -210,7 +155,7 @@ def check_proposition_suite(cdf, rng: Optional[random.Random] = None,
     # F is monotone and lands in [0, 1]
     witness = None
     for _ in range(n_probes):
-        x, y = random_point(space, rng), random_point(space, rng)
+        x, y = space.random_point(rng), space.random_point(rng)
         if space._cmp(x, y) == GREATER:
             x, y = y, x
         fx, fy = cdf.eval_F(x), cdf.eval_F(y)
@@ -276,29 +221,22 @@ def check_proposition_suite(cdf, rng: Optional[random.Random] = None,
 
     # grid inversion agrees with the piece table
     witness = None
-    if isinstance(space, (RealIntervalSpace, LexSpace, FiniteSpace, IntRangeSpace)):
-        for _ in range(40):
-            r = rng.random()
-            point = gi.try_eval(r)
-            if point is None:
-                continue
-            ref = grid_invert(cdf, r, 1e-6)
-            if isinstance(space, (FiniteSpace, IntRangeSpace)):
-                ok = space._cmp(point, ref) == EQUAL
-            elif isinstance(space, RealIntervalSpace):
-                ok = abs(float(point) - float(ref)) <= 2e-6
-            else:
-                ok = point[0] == ref[0] and abs(point[1] - ref[1]) <= 2e-6
-            if not ok:
-                witness = {"r": r, "closed_form": point, "grid": ref}
-                break
+    for _ in range(40):
+        r = rng.random()
+        point = gi.try_eval(r)
+        if point is None:
+            continue
+        ref = grid_invert(cdf, r, 1e-6)
+        if not space.close(point, ref, 2e-6):
+            witness = {"r": r, "closed_form": point, "grid": ref}
+            break
     record("G agrees with the definitional grid scan",
            "fail" if witness else "pass", witness)
 
     # Galois adjunction and the sandwich
     witness = None
     for _ in range(n_probes):
-        r, x = rng.random(), random_point(space, rng)
+        r, x = rng.random(), space.random_point(rng)
         try:
             gi.galois_check(r, x)
         except PropositionViolation as exc:
@@ -335,7 +273,7 @@ def check_proposition_suite(cdf, rng: Optional[random.Random] = None,
     # preimage of open intervals: level set length equals interval mass
     witness = None
     for _ in range(40):
-        a, b = random_point(space, rng), random_point(space, rng)
+        a, b = space.random_point(rng), space.random_point(rng)
         c = space._cmp(a, b)
         if c == EQUAL:
             continue

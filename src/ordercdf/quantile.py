@@ -14,9 +14,9 @@ from typing import List, Optional, Tuple
 
 from .cdf import Cdf
 from .errors import DomainError, PropositionViolation, UndefinedPointError
-from .intervals import Interval, IntervalUnion, interval_length, singleton
-from .measure import _sort_key, atom_set
-from .spaces import EQUAL, GREATER, LESS, LexSpace, OrderedSpace, RealIntervalSpace
+from .intervals import Interval, IntervalUnion, singleton
+from .measure import atom_set
+from .spaces import EQUAL, GREATER, LESS
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,6 @@ class UnitInterval:
         return True
 
 
-EMPTY_UNIT_INTERVAL = UnitInterval(0.0, 0.0, False, False)
-
-
 @dataclass(frozen=True)
 class GPiece:
     """One closed-form piece of G over the quantile range ]r_lo, r_hi]."""
@@ -57,7 +54,7 @@ class GPiece:
     r_lo: float
     r_hi: float
     point: object = None    # atom pieces
-    region: object = None   # affine pieces: outer label for lex, else None
+    region: object = None   # affine pieces: the region of the run (space.split)
     u: float = 0.0          # affine: inner coordinates of the run
     v: float = 0.0
     density: float = 0.0
@@ -67,40 +64,25 @@ class GPiece:
             return self.point
         coord = self.u + (r - self.r_lo) / self.density
         coord = min(max(coord, self.u), self.v)
-        return coord if self.region is None else (self.region, coord)
-
-
-def _segment_region(space, seg):
-    """(region, u, v) inner coordinates of a density segment."""
-    if isinstance(space, LexSpace):
-        (o, u), (_, v) = seg.interval.lo, seg.interval.hi
-        return o, float(u), float(v)
-    return None, float(seg.interval.lo), float(seg.interval.hi)
+        return space.join(self.region, coord)
 
 
 def _build_pieces(space, spec) -> List[GPiece]:
     items = []  # (sort_key, tiebreak, payload)
-    consumed = set()
     for seg in spec.segments:
-        region, u, v = _segment_region(space, seg)
+        region, u = space.split(seg.interval.lo)
+        _, v = space.split(seg.interval.hi)
         cuts = []
-        for idx, a in enumerate(spec.atoms):
-            if isinstance(space, LexSpace):
-                o, t = a.at
-                if o != region:
-                    continue
-            else:
-                t = float(a.at)
-            if u <= t <= v:
+        for a in spec.atoms:
+            a_region, t = space.split(a.at)
+            if a_region == region and u <= t <= v:
                 cuts.append(t)
-                consumed.add(idx)
         coords = sorted({u, v, *cuts})
         for lo_c, hi_c in zip(coords, coords[1:]):
-            start = lo_c if region is None else (region, lo_c)
-            items.append((_sort_key(space, start), 1,
+            items.append((space.key(space.join(region, lo_c)), 1,
                           ("affine", region, lo_c, hi_c, seg.density)))
-    for idx, a in enumerate(spec.atoms):
-        items.append((_sort_key(space, a.at), 0, ("atom", a.at, a.mass)))
+    for a in spec.atoms:
+        items.append((space.key(a.at), 0, ("atom", a.at, a.mass)))
     items.sort(key=lambda it: (it[0], it[1]))
 
     pieces: List[GPiece] = []
@@ -234,30 +216,17 @@ def is_G_injective(gi: PseudoInverse) -> Tuple[bool, Optional[UnitInterval]]:
     return False, gi.plateau_of(atoms[0][0])
 
 
-def _piece_has_two_points(space, piece: Interval) -> bool:
-    if isinstance(space, RealIntervalSpace):
-        return float(piece.hi) - float(piece.lo) > 0.0
-    if isinstance(space, LexSpace):
-        if piece.lo[0] != piece.hi[0]:
-            return True
-        return float(piece.hi[1]) - float(piece.lo[1]) > 0.0
-    return space._cmp(piece.lo, piece.hi) == LESS
-
-
 def _witness_top(space, piece: Interval, spec):
     """A point b inside/at the top of a null piece with mu(]lo, b]) = 0."""
     hi = piece.hi
     if space.contains(hi) and spec.atom_mass_at(hi) == 0.0:
         return hi
-    if isinstance(space, RealIntervalSpace):
-        return (float(piece.lo) + float(hi)) / 2.0
-    if isinstance(space, LexSpace):
-        o2, t2 = hi
-        fib = space.fiber(o2)
-        if isinstance(piece.lo, tuple) and piece.lo[0] == o2:
-            return (o2, (piece.lo[1] + t2) / 2.0)
-        return (o2, (fib.lo + t2) / 2.0)
-    return space.predecessor(hi)
+    # only a real fiber can end a null piece at an atom or a quasi-point
+    region, t2 = space.split(hi)
+    lo_region, t1 = space.split(piece.lo)
+    if lo_region != region:
+        t1 = space.fiber(region).lo
+    return space.join(region, (t1 + t2) / 2.0)
 
 
 def is_F_injective(cdf: Cdf) -> Tuple[bool, Optional[Interval]]:
@@ -271,7 +240,7 @@ def is_F_injective(cdf: Cdf) -> Tuple[bool, Optional[Interval]]:
         [s.interval for s in spec.segments] + [singleton(a.at) for a in spec.atoms],
     )
     for piece in support.complement().intervals:
-        if _piece_has_two_points(space, piece):
+        if space._cmp(piece.lo, piece.hi) == LESS:
             b = _witness_top(space, piece, spec)
             return False, Interval(piece.lo, b, False, True)
     # a point with a predecessor and no atom is a one-step null interval
@@ -279,14 +248,6 @@ def is_F_injective(cdf: Cdf) -> Tuple[bool, Optional[Interval]]:
         if spec.atom_mass_at(x) == 0.0:
             return False, Interval(space.predecessor(x), x, False, True)
     return True, None
-
-
-def _points_equal(space, p, q, tol=1e-9) -> bool:
-    if isinstance(space, RealIntervalSpace):
-        return abs(float(p) - float(q)) <= tol
-    if isinstance(space, LexSpace):
-        return p[0] == q[0] and abs(p[1] - q[1]) <= tol
-    return space._cmp(p, q) == EQUAL
 
 
 @dataclass(frozen=True)
@@ -313,12 +274,11 @@ def bijectivity_report(gi: PseudoInverse, n_probes: int = 200,
                        seed: int = 7, tol: float = 1e-9) -> BijectivityReport:
     import itertools
     import random as _random
-    from .oracle import random_point
 
     cdf, space = gi.cdf, gi.space
     rng = _random.Random(seed)
     xs = list(itertools.islice(space.dense_points(), 64))
-    xs += [random_point(space, rng) for _ in range(n_probes)]
+    xs += [space.random_point(rng) for _ in range(n_probes)]
     rs = [rng.random() for _ in range(n_probes)] + [0.25, 0.5, 0.75, 1.0]
 
     def fg_identity(r):
@@ -327,7 +287,7 @@ def bijectivity_report(gi: PseudoInverse, n_probes: int = 200,
 
     def gf_identity(x):
         point = gi.try_eval(cdf.eval_F(x))
-        return point is not None and _points_equal(space, point, x, tol)
+        return point is not None and space.close(point, x, tol)
 
     fog = all(fg_identity(r) for r in rs)
     gof = all(gf_identity(x) for x in xs)

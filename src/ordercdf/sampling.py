@@ -97,13 +97,7 @@ def pushforward_check(gi: PseudoInverse, subset) -> Tuple[float, float]:
     """
     u = as_union(gi.space, subset)
     geometric = measure_of(gi.cdf.spec, u)
-    quantile_side = 0.0
-    for iv in u.intervals:
-        lo_term = gi.cdf._mass_strictly_below(iv.lo) if iv.lo_closed \
-            else gi.cdf._F(iv.lo)
-        hi_term = gi.cdf._F(iv.hi) if iv.hi_closed \
-            else gi.cdf._mass_strictly_below(iv.hi)
-        quantile_side += max(hi_term - lo_term, 0.0)
+    quantile_side = sum((gi.cdf.interval_measure(iv) for iv in u.intervals), 0.0)
     return geometric, quantile_side
 
 
@@ -166,7 +160,7 @@ def indicator_split_levels(gi: PseudoInverse, subset) -> Tuple[float, ...]:
     u = as_union(gi.space, subset)
     levels = []
     for iv in u.intervals:
-        for endpoint, closed_side in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)):
+        for endpoint in (iv.lo, iv.hi):
             levels.append(gi.cdf._mass_strictly_below(endpoint))
             levels.append(gi.cdf._F(endpoint))
     return tuple(sorted(set(levels)))

@@ -7,15 +7,40 @@ outer label.  Points are plain Python values: ``str`` for finite chains,
 ``int`` for integer ranges, ``float`` for real intervals and an
 ``(outer, inner)`` tuple for lex products.
 
+Each kind owns its behaviour through one protocol on :class:`OrderedSpace`,
+so no other module has to ask which kind a space is:
+
+* ``canon_lo(lo, closed)`` / ``canon_hi(hi, closed)``: the canonical
+  ``(endpoint, closed)`` of an interval's lower / upper end, or None when
+  the interval is empty; an endpoint of None stands for -inf / +inf.
+  ``minimum``, ``maximum``, ``successor`` and ``predecessor`` are derived
+  from these two once, in the base class;
+* ``key(p)``: the sort key of a point or quasi-point;
+* ``length(iv)``: the order-length a uniform density spreads over;
+* ``split(p)`` / ``join(region, t)`` / ``fiber(region)`` / ``regions``:
+  on the kinds with real fibers, a point as a region (None on a real
+  interval, the outer label on a lex product) plus a float on that
+  region's real-interval fiber;
+* ``parse_endpoint(text)``, ``random_point(rng)``, ``close(p, q, tol)``
+  and ``to_config()``;
+* two class attributes fixed per kind: ``numeric_points`` (points are
+  numbers) and ``segments_allowed`` (density segments may be placed, and
+  the fiber methods above exist).
+
+``FiniteSpace`` and ``IntRangeSpace`` share a base class that addresses
+points by position.  Each class keeps its own ``_cmp`` and ``contains``,
+the hot comparisons of every draw and every ``F`` call.
+
 Space descriptions are immutable and every operation is a pure function,
 so instances can be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
-
+import math
 import numbers
+import random
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 from .errors import ConfigError, DomainError
 
@@ -52,6 +77,10 @@ class OrderedSpace:
     """Abstract total order with optional extremes and a dense witness."""
 
     kind: str = "abstract"
+    #: Points are numbers, so numeric integrands such as ``identity`` apply.
+    numeric_points: bool = False
+    #: Points sit on real-interval fibers, so density segments are allowed.
+    segments_allowed: bool = False
 
     # -- universe -----------------------------------------------------
     def contains(self, x) -> bool:
@@ -80,11 +109,32 @@ class OrderedSpace:
         """
         raise NotImplementedError
 
+    def key(self, p):
+        """Sort key of a point or quasi-point, increasing along the order."""
+        raise NotImplementedError
+
+    # -- canonical interval endpoints -----------------------------------
+    def canon_lo(self, lo, closed: bool) -> Optional[tuple]:
+        """Canonical ``(lo, closed)`` of a lower end, or None when empty.
+
+        ``lo`` is a point, a quasi-point, any number on an integer range,
+        or None for -inf.  The result is clamped into X, closed exactly
+        when it is a point of the interval, and moved across an empty gap
+        when open.
+        """
+        raise NotImplementedError
+
+    def canon_hi(self, hi, closed: bool) -> Optional[tuple]:
+        """Dual of :meth:`canon_lo` for an upper end; None stands for +inf."""
+        raise NotImplementedError
+
     def minimum(self):
-        return None
+        lo, closed = self.canon_lo(None, True)
+        return lo if closed else None
 
     def maximum(self):
-        return None
+        hi, closed = self.canon_hi(None, True)
+        return hi if closed else None
 
     @property
     def complete(self) -> bool:
@@ -92,11 +142,25 @@ class OrderedSpace:
         raise NotImplementedError
 
     def successor(self, x) -> Optional[object]:
-        """Immediate next point when ``]x, succ[`` is empty, else None."""
-        return None
+        """Immediate next point when ``]x, succ[`` is empty, else None.
+
+        ``]x, ...`` starts at a closed point exactly when that point is
+        the successor of x.
+        """
+        nxt = self.canon_lo(self.require(x), False)
+        return nxt[0] if nxt is not None and nxt[1] else None
 
     def predecessor(self, x) -> Optional[object]:
-        return None
+        prv = self.canon_hi(self.require(x), False)
+        return prv[0] if prv is not None and prv[1] else None
+
+    def length(self, iv) -> float:
+        """Order-length of a canonical interval used by uniform densities."""
+        raise NotImplementedError
+
+    def close(self, p, q, tol: float) -> bool:
+        """Same point up to ``tol`` on a real coordinate."""
+        return self._cmp(p, q) == EQUAL
 
     # -- separability -------------------------------------------------
     def dense_points(self) -> Iterator[object]:
@@ -112,11 +176,22 @@ class OrderedSpace:
         """Every point that has a predecessor (an empty gap below it)."""
         return iter(())
 
+    def random_point(self, rng: random.Random):
+        raise NotImplementedError
+
     # -- text syntax ---------------------------------------------------
     def parse_point(self, text: str):
+        return self.require(self.parse_endpoint(text.strip()))
+
+    def parse_endpoint(self, text: str):
+        """A finite interval endpoint; unlike a point it may lie outside X."""
         raise NotImplementedError
 
     def format_point(self, x) -> str:
+        raise NotImplementedError
+
+    def to_config(self) -> dict:
+        """The config-file block that :func:`space_from_config` reads back."""
         raise NotImplementedError
 
 
@@ -135,7 +210,61 @@ def _dyadics(lo: float, hi: float, include_lo: bool, include_hi: bool) -> Iterat
         level += 1
 
 
-class FiniteSpace(OrderedSpace):
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"not a finite number: {text!r}")
+    return value
+
+
+class _PositionalSpace(OrderedSpace):
+    """The discrete kinds: points are ``self.points``, addressed by position.
+
+    Subclasses set ``points`` and define ``_position(p, closed, step)``:
+    the position of the point nearest to endpoint p inside the interval,
+    where ``step`` is +1 at a lower end and -1 at an upper end and an open
+    end moves one position inward.  Every gap between neighbours is empty,
+    so canonical endpoints are always closed points.
+    """
+
+    points: Sequence
+
+    def canon_lo(self, lo, closed):
+        i = 0 if lo is None else max(self._position(lo, closed, +1), 0)
+        return (self.points[i], True) if i < len(self.points) else None
+
+    def canon_hi(self, hi, closed):
+        last = len(self.points) - 1
+        i = last if hi is None else min(self._position(hi, closed, -1), last)
+        return (self.points[i], True) if i >= 0 else None
+
+    def key(self, p):
+        return self._position(p, True, 0)
+
+    @property
+    def complete(self):
+        return True
+
+    def length(self, iv):
+        return 0.0
+
+    def dense_points(self):
+        return iter(self.points)
+
+    def predecessor_points(self):
+        return iter(self.points[1:])
+
+    def random_point(self, rng):
+        return rng.choice(self.points)
+
+    def format_point(self, x):
+        return str(x)
+
+
+class FiniteSpace(_PositionalSpace):
     """A finite chain given by an ordered list of distinct labels."""
 
     kind = "finite"
@@ -146,7 +275,7 @@ class FiniteSpace(OrderedSpace):
             raise ConfigError("finite space needs at least one label")
         if len(set(labels)) != len(labels):
             raise ConfigError("finite space labels must be distinct")
-        self.labels = labels
+        self.labels = self.points = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     def describe(self):
@@ -159,50 +288,34 @@ class FiniteSpace(OrderedSpace):
         ix, iy = self._index[x], self._index[y]
         return LESS if ix < iy else (EQUAL if ix == iy else GREATER)
 
-    def minimum(self):
-        return self.labels[0]
+    def _position(self, p, closed, step):
+        return self._index[self.require(p)] + (0 if closed else step)
 
-    def maximum(self):
-        return self.labels[-1]
-
-    @property
-    def complete(self):
-        return True
-
-    def successor(self, x):
-        i = self._index[self.require(x)]
-        return self.labels[i + 1] if i + 1 < len(self.labels) else None
-
-    def predecessor(self, x):
-        i = self._index[self.require(x)]
-        return self.labels[i - 1] if i > 0 else None
-
-    def dense_points(self):
-        return iter(self.labels)
-
-    def predecessor_points(self):
-        return iter(self.labels[1:])
-
-    def parse_point(self, text):
-        text = text.strip()
+    def parse_endpoint(self, text):
         if text not in self._index:
             raise DomainError(f"unknown label {text!r}")
         return text
 
-    def format_point(self, x):
-        return str(x)
+    def to_config(self):
+        return {"kind": self.kind, "labels": list(self.labels)}
 
 
-class IntRangeSpace(OrderedSpace):
-    """Integers from lo to hi, both inclusive."""
+class IntRangeSpace(_PositionalSpace):
+    """Integers from lo to hi, both inclusive.
+
+    Interval endpoints may be any finite number: a fractional one rounds
+    inward and one beyond the range is clamped to it.
+    """
 
     kind = "int_range"
+    numeric_points = True
 
     def __init__(self, lo: int, hi: int):
         if lo > hi:
             raise ConfigError(f"empty integer range {lo}..{hi}")
         self.lo = int(lo)
         self.hi = int(hi)
+        self.points = range(self.lo, self.hi + 1)
 
     def describe(self):
         return f"{self.lo}..{self.hi}"
@@ -213,49 +326,33 @@ class IntRangeSpace(OrderedSpace):
     def _cmp(self, x, y):
         return LESS if x < y else (EQUAL if x == y else GREATER)
 
-    def minimum(self):
-        return self.lo
+    def _position(self, p, closed, step):
+        x = float(p)
+        if not x.is_integer():
+            return (math.ceil(x) if step > 0 else math.floor(x)) - self.lo
+        return int(p) + (0 if closed else step) - self.lo
 
-    def maximum(self):
-        return self.hi
-
-    @property
-    def complete(self):
-        return True
-
-    def successor(self, x):
-        self.require(x)
-        return x + 1 if x < self.hi else None
-
-    def predecessor(self, x):
-        self.require(x)
-        return x - 1 if x > self.lo else None
-
-    def dense_points(self):
-        return iter(range(self.lo, self.hi + 1))
-
-    def predecessor_points(self):
-        return iter(range(self.lo + 1, self.hi + 1))
-
-    def parse_point(self, text):
+    def parse_endpoint(self, text):
         try:
-            value = int(text.strip())
-        except ValueError as exc:
-            raise DomainError(f"not an integer: {text!r}") from exc
-        return self.require(value)
+            return int(text)
+        except ValueError:
+            return _finite_float(text)
 
-    def format_point(self, x):
-        return str(x)
+    def to_config(self):
+        return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
 
 
 class RealIntervalSpace(OrderedSpace):
     """A real interval [lo, hi] with either boundary optionally excluded.
 
     Comparisons are exact binary64 comparisons; no epsilon enters the
-    order itself.
+    order itself.  The space is its own single fiber, with region None.
     """
 
     kind = "real_interval"
+    numeric_points = True
+    segments_allowed = True
+    regions = (None,)
 
     def __init__(self, lo: float, hi: float, include_lo: bool = True, include_hi: bool = True):
         lo, hi = float(lo), float(hi)
@@ -274,7 +371,7 @@ class RealIntervalSpace(OrderedSpace):
     def contains(self, x):
         if not isinstance(x, numbers.Real) or isinstance(x, bool):
             return False
-        if x < self.lo or x > self.hi:
+        if not self.lo <= x <= self.hi:  # also rejects NaN
             return False
         if x == self.lo and not self.include_lo:
             return False
@@ -285,28 +382,66 @@ class RealIntervalSpace(OrderedSpace):
     def _cmp(self, x, y):
         return LESS if x < y else (EQUAL if x == y else GREATER)
 
-    def minimum(self):
-        return self.lo if self.include_lo else None
+    def key(self, p):
+        return float(p)
 
-    def maximum(self):
-        return self.hi if self.include_hi else None
+    def canon_lo(self, lo, closed):
+        if lo is None or lo < self.lo:
+            lo, closed = self.lo, True
+        lo = float(lo)
+        if lo > self.hi:
+            return None
+        if (lo == self.lo and not self.include_lo) or (lo == self.hi and not self.include_hi):
+            closed = False  # an excluded boundary is a quasi-point
+        return lo, closed
+
+    def canon_hi(self, hi, closed):
+        if hi is None or hi > self.hi:
+            hi, closed = self.hi, True
+        hi = float(hi)
+        if hi < self.lo:
+            return None
+        if (hi == self.hi and not self.include_hi) or (hi == self.lo and not self.include_lo):
+            closed = False
+        return hi, closed
 
     @property
     def complete(self):
         return self.include_lo and self.include_hi
 
+    def length(self, iv):
+        return float(iv.hi) - float(iv.lo)
+
+    def fiber(self, region) -> "RealIntervalSpace":
+        return self
+
+    def split(self, p):
+        return None, float(p)
+
+    def join(self, region, t):
+        return t
+
+    def close(self, p, q, tol):
+        return abs(float(p) - float(q)) <= tol
+
     def dense_points(self):
         return _dyadics(self.lo, self.hi, self.include_lo, self.include_hi)
 
-    def parse_point(self, text):
-        try:
-            value = float(text.strip())
-        except ValueError as exc:
-            raise DomainError(f"not a number: {text!r}") from exc
-        return self.require(value)
+    def random_point(self, rng):
+        while True:
+            x = self.lo + rng.random() * (self.hi - self.lo)
+            if self.contains(x):
+                return x
+
+    def parse_endpoint(self, text):
+        return _finite_float(text)
 
     def format_point(self, x):
         return repr(float(x))
+
+    def to_config(self):
+        return {"kind": self.kind, "lo": self.lo, "hi": self.hi,
+                "include_lo": self.include_lo, "include_hi": self.include_hi}
 
 
 class LexSpace(OrderedSpace):
@@ -318,6 +453,7 @@ class LexSpace(OrderedSpace):
     """
 
     kind = "lex"
+    segments_allowed = True
 
     def __init__(self, outer_labels, fibers):
         self.outer = FiniteSpace(outer_labels)
@@ -334,11 +470,21 @@ class LexSpace(OrderedSpace):
         parts = ", ".join(f"{o}:{self.fibers[o].describe()}" for o in self.outer.labels)
         return "lex(" + parts + ")"
 
+    @property
+    def regions(self):
+        return self.outer.labels
+
     def fiber(self, outer) -> RealIntervalSpace:
         try:
             return self.fibers[outer]
         except KeyError as exc:
             raise DomainError(f"unknown outer label {outer!r}") from exc
+
+    def split(self, p):
+        return p[0], float(p[1])
+
+    def join(self, region, t):
+        return (region, t)
 
     def contains(self, x):
         if not (isinstance(x, tuple) and len(x) == 2):
@@ -353,44 +499,44 @@ class LexSpace(OrderedSpace):
         t, s = x[1], y[1]
         return LESS if t < s else (EQUAL if t == s else GREATER)
 
-    def minimum(self):
-        first = self.outer.labels[0]
-        m = self.fibers[first].minimum()
-        return (first, m) if m is not None else None
+    def key(self, p):
+        return (self.outer._index[p[0]], p[1])
 
-    def maximum(self):
-        last = self.outer.labels[-1]
-        m = self.fibers[last].maximum()
-        return (last, m) if m is not None else None
+    def canon_lo(self, lo, closed):
+        o, t = (self.outer.labels[0], None) if lo is None else lo
+        fib = self.fiber(o)
+        end = fib.canon_lo(t, closed)
+        if end is None or (end[0] == fib.hi and not end[1]):
+            # ]top of fiber o, ...] starts at the bottom of the next fiber
+            o = self.outer.successor(o)
+            if o is None:
+                return None
+            end = self.fibers[o].canon_lo(None, True)
+        return (o, end[0]), end[1]
+
+    def canon_hi(self, hi, closed):
+        o, t = (self.outer.labels[-1], None) if hi is None else hi
+        fib = self.fiber(o)
+        end = fib.canon_hi(t, closed)
+        if end is None or (end[0] == fib.lo and not end[1]):
+            o = self.outer.predecessor(o)
+            if o is None:
+                return None
+            end = self.fibers[o].canon_hi(None, True)
+        return (o, end[0]), end[1]
 
     @property
     def complete(self):
         return all(f.complete for f in self.fibers.values())
 
-    def successor(self, x):
-        self.require(x)
-        o, t = x
-        fib = self.fibers[o]
-        if t != fib.hi or not fib.include_hi:
-            return None
-        nxt = self.outer.successor(o)
-        if nxt is None:
-            return None
-        nfib = self.fibers[nxt]
-        # ](o, hi), (nxt, lo)[ is empty; the successor must itself be in X.
-        return (nxt, nfib.lo) if nfib.include_lo else None
+    def length(self, iv):
+        (o1, t1), (o2, t2) = iv.lo, iv.hi
+        if o1 != o2:
+            raise DomainError("length across lex fibers is not defined")
+        return float(t2) - float(t1)
 
-    def predecessor(self, x):
-        self.require(x)
-        o, t = x
-        fib = self.fibers[o]
-        if t != fib.lo or not fib.include_lo:
-            return None
-        prv = self.outer.predecessor(o)
-        if prv is None:
-            return None
-        pfib = self.fibers[prv]
-        return (prv, pfib.hi) if pfib.include_hi else None
+    def close(self, p, q, tol):
+        return p[0] == q[0] and abs(p[1] - q[1]) <= tol
 
     def dense_points(self):
         gens = [(o, self.fibers[o].dense_points()) for o in self.outer.labels]
@@ -399,28 +545,27 @@ class LexSpace(OrderedSpace):
                 yield (o, next(gen))
 
     def predecessor_points(self):
-        for o in self.outer.labels[1:]:
-            fib = self.fibers[o]
-            if fib.include_lo:
-                x = (o, fib.lo)
-                if self.predecessor(x) is not None:
-                    yield x
+        bottoms = ((o, self.fibers[o].lo) for o in self.outer.labels[1:])
+        return (x for x in bottoms if self.contains(x) and self.predecessor(x) is not None)
 
-    def parse_point(self, text):
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
+    def random_point(self, rng):
+        o = rng.choice(self.outer.labels)
+        return (o, self.fibers[o].random_point(rng))
+
+    def parse_endpoint(self, text):
+        if not (text.startswith("(") and text.endswith(")") and "," in text):
             raise DomainError(f"lex point must look like '(outer,inner)': {text!r}")
-        body = text[1:-1]
-        if "," not in body:
-            raise DomainError(f"lex point must look like '(outer,inner)': {text!r}")
-        o, t = body.split(",", 1)
-        o = o.strip()
-        point = (o, self.fiber(o).parse_point(t))
-        return self.require(point)
+        o, t = (part.strip() for part in text[1:-1].split(",", 1))
+        return (o, self.fiber(o).parse_endpoint(t))
 
     def format_point(self, x):
         o, t = x
         return f"({o},{repr(float(t))})"
+
+    def to_config(self):
+        fibers = {o: {k: v for k, v in f.to_config().items() if k != "kind"}
+                  for o, f in self.fibers.items()}
+        return {"kind": self.kind, "outer": list(self.outer.labels), "fibers": fibers}
 
 
 def classify_isolation(space: OrderedSpace, x) -> IsolationReport:
@@ -449,50 +594,27 @@ def space_from_config(block: dict) -> OrderedSpace:
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("space block must be an object with a 'kind' field")
     kind = block["kind"]
+
+    def real(spec):
+        return RealIntervalSpace(spec["lo"], spec["hi"],
+                                 spec.get("include_lo", True), spec.get("include_hi", True))
     try:
         if kind == "finite":
             return FiniteSpace(block["labels"])
         if kind == "int_range":
             return IntRangeSpace(block["lo"], block["hi"])
         if kind == "real_interval":
-            return RealIntervalSpace(
-                block["lo"], block["hi"],
-                block.get("include_lo", True), block.get("include_hi", True),
-            )
+            return real(block)
         if kind == "lex":
-            fibers = {
-                o: RealIntervalSpace(
-                    spec["lo"], spec["hi"],
-                    spec.get("include_lo", True), spec.get("include_hi", True),
-                )
-                for o, spec in block["fibers"].items()
-            }
-            return LexSpace(block["outer"], fibers)
+            return LexSpace(block["outer"], {o: real(spec) for o, spec in block["fibers"].items()})
     except KeyError as exc:
         raise ConfigError(f"space.{exc.args[0]}: missing field for kind {kind!r}") from exc
     raise ConfigError(f"space.kind: unknown kind {kind!r}")
 
 
 def space_to_config(space: OrderedSpace) -> dict:
-    if isinstance(space, FiniteSpace):
-        return {"kind": "finite", "labels": list(space.labels)}
-    if isinstance(space, IntRangeSpace):
-        return {"kind": "int_range", "lo": space.lo, "hi": space.hi}
-    if isinstance(space, RealIntervalSpace):
-        return {
-            "kind": "real_interval", "lo": space.lo, "hi": space.hi,
-            "include_lo": space.include_lo, "include_hi": space.include_hi,
-        }
-    if isinstance(space, LexSpace):
-        return {
-            "kind": "lex",
-            "outer": list(space.outer.labels),
-            "fibers": {
-                o: {
-                    "lo": f.lo, "hi": f.hi,
-                    "include_lo": f.include_lo, "include_hi": f.include_hi,
-                }
-                for o, f in space.fibers.items()
-            },
-        }
-    raise ConfigError(f"cannot serialize space of kind {space.kind!r}")
+    return space.to_config()
+
+
+def random_point(space: OrderedSpace, rng: random.Random):
+    return space.random_point(rng)

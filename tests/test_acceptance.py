@@ -20,7 +20,7 @@ from ordercdf import (
 from ordercdf.instances import (
     COMPLETE_INSTANCE_NAMES, INSTANCE_NAMES, instance, instance_cdf, instance_gi,
 )
-from ordercdf.oracle import (
+from ordercdf import (
     random_atomic_spec, random_interval_union, random_point,
 )
 from ordercdf.spaces import FiniteSpace

@@ -9,7 +9,7 @@ from ordercdf import (
     measure_of, measure_uniqueness_check,
 )
 from ordercdf.instances import instance_cdf
-from ordercdf.oracle import random_interval, random_point
+from ordercdf import random_interval, random_point
 
 
 def test_classical_uniform_values():

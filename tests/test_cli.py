@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from ordercdf.cli import (
     EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VERIFY,
     config_to_dict, load_config, main,
@@ -23,6 +25,18 @@ OPEN = {
     "space": {"kind": "real_interval", "lo": 0.0, "hi": 1.0,
               "include_lo": False},
     "measure": {"segments": [{"interval": "(0,1]", "mass": 1.0}]},
+}
+
+INT_RANGE = {
+    "space": {"kind": "int_range", "lo": 0, "hi": 4},
+    "measure": {"atoms": [{"at": i, "mass": m}
+                          for i, m in enumerate((0.1, 0.2, 0.3, 0.25, 0.15))]},
+}
+
+LEX_ACROSS_FIBERS = {
+    "space": {"kind": "lex", "outer": ["a", "b"],
+              "fibers": {"a": {"lo": 0.0, "hi": 1.0}, "b": {"lo": 0.0, "hi": 1.0}}},
+    "measure": {"segments": [{"interval": "[(a,0.5),(b,0.5)]", "mass": 1.0}]},
 }
 
 
@@ -160,3 +174,35 @@ def test_report_bijectivity():
 def test_case_and_config_both_missing():
     code, _ = run("eval-cdf", "--at", "b")
     assert code == EXIT_CONFIG
+
+
+def one_line_error(capsys, fragment):
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_lex_segment_across_fibers_is_a_config_error(tmp_path, capsys):
+    path = write(tmp_path, LEX_ACROSS_FIBERS)
+    code, _ = run("eval-cdf", "--config", path, "--at", "(a,0.5)")
+    assert code == EXIT_CONFIG
+    one_line_error(capsys, "one fiber")
+
+
+@pytest.mark.parametrize("interval, mass", [
+    ("(0.5,2.5]", 0.2 + 0.3),   # rounds inward to [1,2]
+    ("[3,10]", 0.25 + 0.15),    # clamps to [3,4]
+])
+def test_int_range_interval_endpoints_round_inward_and_clamp(tmp_path, interval, mass):
+    path = write(tmp_path, INT_RANGE)
+    code, out = run("interval-measure", "--config", path, "--interval", interval)
+    assert code == EXIT_OK
+    assert float(out) == pytest.approx(mass, abs=1e-12)
+
+
+@pytest.mark.parametrize("expr", ["identity", "square"])
+def test_numeric_integrand_on_labels_is_a_config_error(tmp_path, capsys, expr):
+    path = write(tmp_path, THREE_ATOM)
+    code, _ = run("integrate", "--config", path, "--expr", expr)
+    assert code == EXIT_CONFIG
+    one_line_error(capsys, "needs numeric points")

@@ -10,7 +10,7 @@ from ordercdf import (
     format_union, infimum, interval_length, parse_interval, parse_union,
     singleton, supremum,
 )
-from ordercdf.oracle import random_interval_union, random_point
+from ordercdf import random_interval_union, random_point
 
 
 def spaces():

@@ -7,7 +7,7 @@ from ordercdf import (
     RealIntervalSpace, atom_set, measure_of, singleton,
 )
 from ordercdf.instances import instance
-from ordercdf.oracle import random_interval_union
+from ordercdf import random_interval_union
 
 
 def test_rejects_bad_total_mass():

@@ -8,7 +8,7 @@ from ordercdf import (
     bijectivity_report, is_F_injective, is_G_injective,
 )
 from ordercdf.instances import INSTANCE_NAMES, instance_gi
-from ordercdf.oracle import grid_invert, random_point
+from ordercdf import grid_invert, random_point
 
 
 def test_uniform_quantile_is_identity():

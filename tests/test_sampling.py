@@ -10,7 +10,7 @@ from ordercdf import (
     pushforward_check,
 )
 from ordercdf.instances import COMPLETE_INSTANCE_NAMES, instance_gi
-from ordercdf.oracle import random_interval_union
+from ordercdf import random_interval_union
 
 
 def test_reproducible_streams():

@@ -8,7 +8,7 @@ from ordercdf import (
     FiniteSpace, IntRangeSpace, LexSpace, RealIntervalSpace,
     classify_isolation, space_from_config, space_to_config,
 )
-from ordercdf.oracle import random_point
+from ordercdf import random_point
 
 
 def sample_spaces():
