@@ -99,6 +99,8 @@ def upper_ray(x, closed: bool = True) -> Interval:
 
 def canonicalize_interval(space: OrderedSpace, iv: Interval) -> Optional[Interval]:
     """Unique representation of the same point set, or None if empty."""
+    if iv.lo is POS_INF or iv.hi is NEG_INF:
+        return None  # ]+inf, ...| and |..., -inf[ hold no point
     lo = space.canon_lo(None if is_infinite(iv.lo) else iv.lo, iv.lo_closed)
     hi = space.canon_hi(None if is_infinite(iv.hi) else iv.hi, iv.hi_closed)
     if lo is None or hi is None:

@@ -5,12 +5,20 @@ G is assembled as a closed-form piece table: a constant piece per atom
 run, split wherever an atom sits inside a segment.  The definitional
 grid scan lives in the oracle module and is kept independent so the
 closed form is genuinely tested.
+
+The table is read two ways.  ``try_eval`` maps one level with a bisect
+over the piece list; ``eval_many`` maps a whole level array at once from
+NumPy columns of the same table, with the same IEEE operations in the
+same order, so both return the same points bit for bit.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .cdf import Cdf
 from .errors import DomainError, PropositionViolation, UndefinedPointError
@@ -101,6 +109,51 @@ def _build_pieces(space, spec) -> List[GPiece]:
     return pieces
 
 
+@dataclass(frozen=True)
+class _PieceColumns:
+    """One NumPy column per field of the G pieces, read by ``eval_many``.
+
+    Atom pieces hold their point, checked against X here, once, in
+    ``atom_ok``, and placeholder affine fields (density 1 keeps the
+    vector division finite).  ``region`` indexes ``regions`` on affine
+    pieces and is -1 on atoms.
+    """
+
+    r_lo: np.ndarray
+    r_hi: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    density: np.ndarray
+    points: np.ndarray
+    regions: list
+    region: np.ndarray
+    atom_ok: np.ndarray
+
+    @classmethod
+    def of(cls, space, pieces: List[GPiece]) -> "_PieceColumns":
+        def column(values, dtype=np.float64):
+            return np.fromiter(values, dtype=dtype, count=len(pieces))
+
+        regions = list(dict.fromkeys(p.region for p in pieces if p.kind == "affine"))
+        index = {region: i for i, region in enumerate(regions)}
+        return cls(
+            r_lo=column(p.r_lo for p in pieces),
+            r_hi=column(p.r_hi for p in pieces),
+            u=column(p.u for p in pieces),
+            v=column(p.v for p in pieces),
+            density=column(p.density if p.kind == "affine" else 1.0 for p in pieces),
+            points=column((p.point for p in pieces), object),
+            regions=regions,
+            region=column((index[p.region] if p.kind == "affine" else -1 for p in pieces),
+                          np.intp),
+            atom_ok=column((p.kind == "atom" and space.contains(p.point) for p in pieces),
+                           bool))
+
+
+def _level_outside(r: float) -> DomainError:
+    return DomainError(f"quantile level {r!r} outside [0, 1]")
+
+
 class PseudoInverse:
     """Partial map G from [0,1] into the space, with explicit verdicts."""
 
@@ -110,11 +163,19 @@ class PseudoInverse:
         self.pieces = _build_pieces(cdf.space, cdf.spec)
         self._r_his = [p.r_hi for p in self.pieces]
 
+    @cached_property
+    def _columns(self) -> "_PieceColumns":
+        """The piece table as NumPy columns, built on the first :meth:`eval_many`.
+
+        A table only ever read through :meth:`try_eval` never builds them.
+        """
+        return _PieceColumns.of(self.space, self.pieces)
+
     # -- evaluation ----------------------------------------------------
     def try_eval(self, r: float) -> Optional[object]:
         """G(r) as a point of X, or None when the infimum is not in X."""
         if not 0.0 <= r <= 1.0:
-            raise DomainError(f"quantile level {r!r} outside [0, 1]")
+            raise _level_outside(r)
         if r == 0.0:
             # the super-level set at 0 is all of X
             return self.space.minimum()
@@ -123,6 +184,44 @@ class PseudoInverse:
             idx = len(self.pieces) - 1
         point = self.pieces[idx].point_at(self.space, r)
         return point if self.space.contains(point) else None
+
+    def eval_many(self, levels) -> List[object]:
+        """G at every level of a float64 array, as a list of points.
+
+        The vector form of :meth:`eval`: the same points as one
+        ``try_eval`` call per level, the same errors for the first level
+        that has none.
+        """
+        levels = np.asarray(levels, dtype=np.float64)
+        outside = ~((levels >= 0.0) & (levels <= 1.0))
+        if outside.any():
+            raise _level_outside(float(levels[np.argmax(outside)]))
+        col = self._columns
+        idx = np.searchsorted(col.r_hi, levels, side="left")
+        np.minimum(idx, len(self.pieces) - 1, out=idx)
+        region_of = col.region[idx]
+        u, v = col.u[idx], col.v[idx]
+        coord = u + (levels - col.r_lo[idx]) / col.density[idx]
+        # min(max(coord, u), v) as GPiece.point_at has it: Python's tie
+        # rule keeps the first argument, which np.maximum does not on
+        # signed zeros
+        coord = np.where(u > coord, u, coord)
+        coord = np.where(v < coord, v, coord)
+        out = col.points[idx]
+        ok = col.atom_ok[idx]
+        for i, region in enumerate(col.regions):
+            on = region_of == i
+            if on.any():
+                ts = coord[on]
+                ok[on] = self.space.fiber(region).contains_many(ts)
+                out[on] = self.space.join_many(region, ts)
+        for i in np.flatnonzero(levels == 0.0):
+            # the super-level set at 0 is all of X
+            out[i] = self.space.minimum()
+            ok[i] = out[i] is not None
+        if not ok.all():
+            raise UndefinedPointError(self.undefined_reason(float(levels[np.argmin(ok)])))
+        return out.tolist()
 
     def eval(self, r: float):
         point = self.try_eval(r)

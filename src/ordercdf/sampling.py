@@ -44,13 +44,9 @@ class Sampler:
             raise DomainError("sample size must be nonnegative")
         levels = self._rng.random(n)
         self.draws += n
-        out = []
-        for r in levels:
-            if r == 0.0:
-                # levels live in ]0,1]: nudge the measure-zero draw inside
-                r = np.nextafter(0.0, 1.0)
-            out.append(self.gi.eval(float(r)))
-        return out
+        # levels live in ]0,1]: nudge the measure-zero draw inside
+        levels = np.where(levels == 0.0, np.nextafter(0.0, 1.0), levels)
+        return self.gi.eval_many(levels)
 
 
 def dkw_epsilon(n: int, alpha: float = 0.01) -> float:

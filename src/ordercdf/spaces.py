@@ -20,7 +20,8 @@ so no other module has to ask which kind a space is:
 * ``split(p)`` / ``join(region, t)`` / ``fiber(region)`` / ``regions``:
   on the kinds with real fibers, a point as a region (None on a real
   interval, the outer label on a lex product) plus a float on that
-  region's real-interval fiber;
+  region's real-interval fiber; ``join_many(region, ts)`` joins a float64
+  array at once, and a fiber's ``contains_many(ts)`` tests one;
 * ``parse_endpoint(text)``, ``random_point(rng)``, ``close(p, q, tol)``
   and ``to_config()``;
 * two class attributes fixed per kind: ``numeric_points`` (points are
@@ -41,6 +42,8 @@ import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DomainError
 
@@ -379,6 +382,15 @@ class RealIntervalSpace(OrderedSpace):
             return False
         return True
 
+    def contains_many(self, ts: np.ndarray) -> np.ndarray:
+        """:meth:`contains` of every float in a float64 array, as a bool array."""
+        ok = (ts >= self.lo) & (ts <= self.hi)  # also rejects NaN
+        if not self.include_lo:
+            ok &= ts != self.lo
+        if not self.include_hi:
+            ok &= ts != self.hi
+        return ok
+
     def _cmp(self, x, y):
         return LESS if x < y else (EQUAL if x == y else GREATER)
 
@@ -420,6 +432,10 @@ class RealIntervalSpace(OrderedSpace):
 
     def join(self, region, t):
         return t
+
+    def join_many(self, region, ts: np.ndarray) -> np.ndarray:
+        """``join`` of every float in a float64 array, as an object array."""
+        return ts.astype(object)
 
     def close(self, p, q, tol):
         return abs(float(p) - float(q)) <= tol
@@ -485,6 +501,9 @@ class LexSpace(OrderedSpace):
 
     def join(self, region, t):
         return (region, t)
+
+    def join_many(self, region, ts):
+        return np.fromiter(((region, t) for t in ts.tolist()), dtype=object, count=len(ts))
 
     def contains(self, x):
         if not (isinstance(x, tuple) and len(x) == 2):

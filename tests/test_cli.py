@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,9 +204,26 @@ def test_int_range_interval_endpoints_round_inward_and_clamp(tmp_path, interval,
     assert float(out) == pytest.approx(mass, abs=1e-12)
 
 
+@pytest.mark.parametrize("interval", ["(inf,0.5]", "(0.5,-inf)"])
+def test_wrong_way_infinite_endpoint_is_an_empty_interval(interval):
+    code, out = run("interval-measure", "--case", "uniform", "--interval", interval)
+    assert code == EXIT_OK
+    assert out.strip() == "0"
+
+
 @pytest.mark.parametrize("expr", ["identity", "square"])
 def test_numeric_integrand_on_labels_is_a_config_error(tmp_path, capsys, expr):
     path = write(tmp_path, THREE_ATOM)
     code, _ = run("integrate", "--config", path, "--expr", expr)
     assert code == EXIT_CONFIG
     one_line_error(capsys, "needs numeric points")
+
+
+def test_python_dash_m_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "ordercdf", "eval-cdf", "--case", "three-atom", "--at", "b"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.strip() == "0.5"

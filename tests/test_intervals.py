@@ -54,6 +54,16 @@ def test_canonicalize_lex_fiber_sliding():
     assert iv == Interval(("1", 0.0), ("1", 0.5), True, True)
 
 
+def test_canonicalize_wrong_way_infinities_are_empty():
+    for space in spaces():
+        x = next(space.dense_points())
+        assert canonicalize_interval(space, Interval(POS_INF, x, False, True)) is None
+        assert canonicalize_interval(space, Interval(x, NEG_INF, False, False)) is None
+        assert canonicalize_interval(space, Interval(POS_INF, NEG_INF, False, False)) is None
+        assert canonicalize_interval(space, Interval(POS_INF, POS_INF, False, False)) is None
+        assert canonicalize_interval(space, Interval(NEG_INF, NEG_INF, False, False)) is None
+
+
 def test_canonicalization_idempotent():
     rng = random.Random(5)
     for space in spaces():

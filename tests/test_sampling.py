@@ -1,16 +1,143 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from ordercdf import (
-    QuadratureSpec, Sampler, UnsupportedSpaceError,
+    Cdf, DomainError, FiniteSpace, Interval, IntRangeSpace, LexSpace,
+    MeasureSpec, PseudoInverse, QuadratureSpec, RealIntervalSpace, Sampler,
+    UndefinedPointError, UnsupportedSpaceError,
     atom_frequencies, dkw_epsilon, empirical_F, indicator,
     indicator_split_levels, integrate, ks_statistic, measure_of,
     pushforward_check,
 )
-from ordercdf.instances import COMPLETE_INSTANCE_NAMES, instance_gi
+from ordercdf.instances import COMPLETE_INSTANCE_NAMES, INSTANCE_NAMES, instance_gi
 from ordercdf import random_interval_union
+
+KINDS = ("finite", "int_range", "real_interval", "lex")
+
+
+def _random_real(rng, complete):
+    if complete:
+        return RealIntervalSpace(0.0, 1.0)
+    return RealIntervalSpace(0.0, 1.0, rng.random() < 0.6, rng.random() < 0.6)
+
+
+def random_space(kind, rng, complete=False):
+    if kind == "finite":
+        return FiniteSpace(tuple("abcdefg"[:rng.randint(1, 7)]))
+    if kind == "int_range":
+        lo = rng.randint(-5, 5)
+        return IntRangeSpace(lo, lo + rng.randint(0, 8))
+    if kind == "real_interval":
+        return _random_real(rng, complete)
+    labels = ("p", "q", "r")[:rng.randint(1, 3)]
+    return LexSpace(labels, {o: _random_real(rng, complete) for o in labels})
+
+
+def random_measure(space, rng):
+    """Atoms (some on segment ends, some inside segments) plus disjoint segments."""
+    segments, ends = [], []
+    if space.segments_allowed:
+        for region in space.regions:
+            fib = space.fiber(region)
+            cuts = {rng.uniform(fib.lo, fib.hi) for _ in range(2 * rng.randint(0, 2))}
+            cuts |= {end for end in (fib.lo, fib.hi) if rng.random() < 0.5}
+            cuts = sorted(cuts)
+            for a, b in zip(cuts[::2], cuts[1::2]):
+                segments.append(Interval(space.join(region, a), space.join(region, b),
+                                         rng.random() < 0.5, rng.random() < 0.5))
+                ends += [space.join(region, a), space.join(region, b)]
+    atoms = {}
+    for _ in range(rng.randint(0 if segments else 1, 4)):
+        at = rng.choice(ends) if ends and rng.random() < 0.3 else space.random_point(rng)
+        if space.contains(at):
+            atoms[space.key(at)] = at
+    weights = [rng.random() + 0.05 for _ in range(len(atoms) + len(segments))]
+    masses = [w / sum(weights) for w in weights]
+    masses[-1] = 1.0 - sum(masses[:-1])
+    return MeasureSpec(space, atoms=list(zip(atoms.values(), masses)),
+                       segments=list(zip(segments, masses[len(atoms):])))
+
+
+def random_gis(complete=False, per_kind=20, seed=83):
+    rng = random.Random(seed)
+    for kind in KINDS:
+        for _ in range(per_kind):
+            space = random_space(kind, rng, complete)
+            yield PseudoInverse(Cdf(space, random_measure(space, rng)))
+
+
+def signed_zero_gi():
+    """Uniform on [-1, -0.0]: G(1) rounds to +0.0 and is clipped, keeping it."""
+    space = RealIntervalSpace(-1.0, -0.0)
+    spec = MeasureSpec(space, segments=[(Interval(-1.0, -0.0, True, True), 1.0)])
+    return PseudoInverse(Cdf(space, spec))
+
+
+def all_gis(complete=False):
+    names = COMPLETE_INSTANCE_NAMES if complete else INSTANCE_NAMES
+    return [instance_gi(name) for name in names] + [signed_zero_gi()] \
+        + list(random_gis(complete))
+
+
+def table_levels(gi, rng):
+    """Every piece end and its two neighbours, the ends of ]0,1], random levels."""
+    levels = []
+    for piece in gi.pieces:
+        for r in (piece.r_lo, piece.r_hi):
+            levels += [np.nextafter(r, -1.0), r, np.nextafter(r, 2.0)]
+    levels += [1.0, np.nextafter(0.0, 1.0)] + [rng.random() for _ in range(1000)]
+    return [float(r) for r in levels if 0.0 <= r <= 1.0]
+
+
+def same_points(got, expected):
+    """Equal values with the same Python types (and signs of zero)."""
+    return got == expected and list(map(repr, got)) == list(map(repr, expected))
+
+
+def draw_one_by_one(gi, seed, n):
+    """The per-level loop that Sampler.draw replaced, kept as its reference."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = []
+    for r in rng.random(n):
+        if r == 0.0:
+            r = np.nextafter(0.0, 1.0)
+        out.append(gi.eval(float(r)))
+    return out
+
+
+def test_eval_many_equals_try_eval():
+    rng = random.Random(89)
+    for gi in all_gis():
+        levels = table_levels(gi, rng)
+        expected = [gi.try_eval(r) for r in levels]
+        defined = [(r, p) for r, p in zip(levels, expected) if p is not None]
+        got = gi.eval_many(np.array([r for r, _ in defined]))
+        assert same_points(got, [p for _, p in defined]), gi.space.describe()
+        if len(defined) < len(levels):
+            first = levels[expected.index(None)]
+            with pytest.raises(UndefinedPointError,
+                               match=re.escape(gi.undefined_reason(first))):
+                gi.eval_many(np.array(levels))
+
+
+def test_eval_many_rejects_levels_outside_unit_interval():
+    gi = instance_gi("mixed")
+    assert gi.eval_many(np.array([])) == []
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(DomainError, match="outside"):
+            gi.eval_many(np.array([0.5, bad]))
+
+
+def test_draw_equals_the_per_level_loop():
+    for gi in all_gis(complete=True):
+        for seed in (1, 2, 3):
+            got = Sampler(gi, seed).draw(500)
+            assert same_points(got, draw_one_by_one(gi, seed, 500)), gi.space.describe()
+        assert Sampler(gi, 1).draw(0) == []
 
 
 def test_reproducible_streams():
