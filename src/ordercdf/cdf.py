@@ -5,11 +5,15 @@ mass of the open one; the gap between them is exactly the atom mass at x.
 Interval masses come from the four closure-flag formulas, with the
 conventions F(-inf) = 0 and F(+inf) = F_minus(+inf) = 1 so that extended
 endpoints from the algebra are usable directly.
+
+Both read one table of cumulative masses, ``Cdf.pieces``, and so does the
+pseudo-inverse G of the quantile module: F and G agree on every level.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from .errors import DomainError, PropositionViolation
@@ -24,6 +28,56 @@ from .spaces import LESS, EQUAL, GREATER, OrderedSpace
 H_LADDER = (1e-3, 1e-6, 1e-9)
 
 
+@dataclass(frozen=True)
+class GPiece:
+    """One closed-form piece of G over the quantile range ]r_lo, r_hi]."""
+
+    kind: str               # "atom" | "affine"
+    r_lo: float
+    r_hi: float
+    point: object = None    # atom pieces
+    region: object = None   # affine pieces: the region of the run (space.split)
+    u: float = 0.0          # affine: inner coordinates of the run
+    v: float = 0.0
+    density: float = 0.0
+
+    def point_at(self, space, r):
+        if self.kind == "atom":
+            return self.point
+        coord = self.u + (r - self.r_lo) / self.density
+        coord = min(max(coord, self.u), self.v)
+        return space.join(self.region, coord)
+
+
+def _piece_table(space, spec: MeasureSpec) -> Tuple[List[GPiece], list, list]:
+    """The pieces in order, with the keys of each one's first and last point:
+    a constant piece per atom and an affine one per uniform run, split at the
+    atoms inside it.  The only running sum of masses; levels are cut at 1 and
+    the last one is exactly 1.
+    """
+    atom_keys = [space.key(a.at) for a in spec.atoms]  # sorted, as the atoms are
+    runs = [(key, 0, key, a.mass, {"kind": "atom", "point": a.at})
+            for key, a in zip(atom_keys, spec.atoms)]
+    for seg in spec.segments:
+        lo, hi = seg.interval.lo, seg.interval.hi
+        region, u = space.split(lo)
+        inside = spec.atoms[bisect.bisect_left(atom_keys, space.key(lo)):
+                            bisect.bisect_right(atom_keys, space.key(hi))]
+        coords = sorted({u, space.split(hi)[1], *(space.split(a.at)[1] for a in inside)})
+        for lo_c, hi_c in zip(coords, coords[1:]):
+            runs.append((space.key(space.join(region, lo_c)), 1,
+                         space.key(space.join(region, hi_c)), seg.density * (hi_c - lo_c),
+                         {"kind": "affine", "region": region, "u": lo_c, "v": hi_c,
+                          "density": seg.density}))
+    runs.sort(key=lambda run: run[:2])  # an atom before the affine piece starting at it
+    pieces, c = [], 0.0
+    for _, _, _, mass, fields in runs:
+        pieces.append(GPiece(r_lo=min(c, 1.0), r_hi=min(c + mass, 1.0), **fields))
+        c += mass
+    pieces[-1] = replace(pieces[-1], r_hi=1.0)
+    return pieces, [run[0] for run in runs], [run[2] for run in runs]
+
+
 class Cdf:
     """Evaluator pair (F, F_minus) bound to a measure over a space.
 
@@ -35,70 +89,49 @@ class Cdf:
             raise DomainError("measure spec belongs to a different space")
         self.space = space
         self.spec = spec
+        self.pieces, self._starts, self._ends = _piece_table(space, spec)
         self._breakpoints = self._collect_breakpoints()
-        # (key of lo, key of hi, inner coordinate of lo, segment) per segment
-        self._segment_keys = [
-            (space.key(s.interval.lo), space.key(s.interval.hi),
-             space.split(s.interval.lo)[1], s)
-            for s in spec.segments]
 
     def _collect_breakpoints(self) -> List[object]:
-        pts = []
-
-        def add(p):
-            if p is not None and self.space.contains(p) and \
-                    not any(self.space._cmp(p, q) == EQUAL for q in pts):
-                pts.append(p)
-
-        add(self.space.minimum())
-        add(self.space.maximum())
-        for a in self.spec.atoms:
-            add(a.at)
-        for s in self.spec.segments:
-            add(s.interval.lo)
-            add(s.interval.hi)
-        pts.sort(key=self.space.key)
-        return pts
+        """The extremes of X and the piece ends that lie in X, in order."""
+        space = self.space
+        ends = [space.minimum(), space.maximum()] + \
+            [p.point for p in self.pieces if p.kind == "atom"] + \
+            [space.join(p.region, t) for p in self.pieces if p.kind == "affine" for t in (p.u, p.v)]
+        # the first of equal points wins, as the extremes and atoms come first
+        by_key = {space.key(p): p for p in reversed(ends) if p is not None and space.contains(p)}
+        return [by_key[k] for k in sorted(by_key)]
 
     def breakpoints(self) -> List[object]:
         return list(self._breakpoints)
 
     # -- core evaluation ----------------------------------------------
-    def _mass_strictly_below(self, value) -> float:
-        """Mass of (< value); accepts quasi-points and infinities."""
+    def _mass_below(self, value, closed: bool) -> float:
+        """Mass of (<= value) when closed, else of (< value); one bisect on
+        the piece keys.  Accepts quasi-points and infinities."""
         if value is NEG_INF:
             return 0.0
         if value is POS_INF:
             return 1.0
-        total = 0.0
-        for a in self.spec.atoms:
-            if self.space._cmp(a.at, value) == LESS:
-                total += a.mass
         key = self.space.key(value)
-        for lo_key, hi_key, u, s in self._segment_keys:
-            if key >= hi_key:
-                total += s.mass
-            elif key > lo_key:  # value lies inside the segment's fiber run
-                total += s.density * (self.space.split(value)[1] - u)
-        return total
-
-    def _atom_mass(self, value) -> float:
-        if is_infinite(value):
+        # the pieces starting at or before value, or strictly before it
+        i = (bisect.bisect_right if closed else bisect.bisect_left)(self._starts, key)
+        if i == 0:
             return 0.0
-        return self.spec.atom_mass_at(value)
-
-    def _F(self, value) -> float:
-        return self._mass_strictly_below(value) + self._atom_mass(value)
+        piece = self.pieces[i - 1]
+        if key < self._ends[i - 1]:  # value lies inside an affine piece
+            return piece.r_lo + piece.density * (self.space.split(value)[1] - piece.u)
+        return piece.r_hi
 
     def eval_F(self, x) -> float:
         """F(x) = mu(<= x)."""
         self.space.require(x)
-        return self._F(x)
+        return self._mass_below(x, True)
 
     def eval_F_minus(self, x) -> float:
         """F_minus(x) = mu(< x) = F(x) minus the atom mass at x."""
         self.space.require(x)
-        return self._mass_strictly_below(x)
+        return self._mass_below(x, False)
 
     # -- interval formulas --------------------------------------------
     def interval_measure(self, iv: Interval) -> float:
@@ -106,10 +139,8 @@ class Cdf:
         if not is_infinite(iv.lo) and not is_infinite(iv.hi):
             if ext_cmp(self.space, iv.lo, iv.hi) == GREATER:
                 raise DomainError(f"interval {iv} has lo > hi")
-        lo_term = self._mass_strictly_below(iv.lo) if iv.lo_closed \
-            else self._F(iv.lo)
-        hi_term = self._F(iv.hi) if iv.hi_closed \
-            else self._mass_strictly_below(iv.hi)
+        lo_term = self._mass_below(iv.lo, not iv.lo_closed)
+        hi_term = self._mass_below(iv.hi, iv.hi_closed)
         return max(hi_term - lo_term, 0.0)
 
     # -- sup/inf companions (independent scans) -----------------------
@@ -145,8 +176,8 @@ class Cdf:
         for y in self._ladder_points_below(x):
             candidates.append(y)
             fine = True
-        scan = max((self._F(p) for p in candidates), default=0.0)
-        target = self._mass_strictly_below(x)
+        scan = max((self._mass_below(p, True) for p in candidates), default=0.0)
+        target = self._mass_below(x, False)
         if scan > target + 1e-12:
             raise PropositionViolation(
                 f"sup F(<x) scan exceeded F_minus at {x!r}: {scan} > {target}")
@@ -174,8 +205,8 @@ class Cdf:
         for y in self._ladder_points_above(x):
             candidates.append(y)
             fine = True
-        scan = min((self._mass_strictly_below(p) for p in candidates), default=1.0)
-        target = self._F(x)
+        scan = min((self._mass_below(p, False) for p in candidates), default=1.0)
+        target = self._mass_below(x, True)
         if scan < target - 1e-12:
             raise PropositionViolation(
                 f"inf F_minus(>x) scan fell below F at {x!r}: {scan} < {target}")
@@ -224,11 +255,10 @@ def measure_uniqueness_check(cdf1: Cdf, cdf2: Cdf, n_random: int = 10_000,
     if cdf1.space is not cdf2.space:
         raise DomainError("cdfs live on different spaces")
     space = cdf1.space
-    points = list(cdf1._breakpoints)
-    for p in cdf2._breakpoints:
-        if not any(space._cmp(p, q) == EQUAL for q in points):
-            points.append(p)
-    for x in points:
+    points = {}
+    for p in cdf1._breakpoints + cdf2._breakpoints:
+        points.setdefault(space.key(p), p)
+    for x in points.values():
         jump1 = cdf1.eval_F(x) - cdf1.eval_F_minus(x)
         jump2 = cdf2.eval_F(x) - cdf2.eval_F_minus(x)
         if abs(jump1 - jump2) > 1e-12:

@@ -28,7 +28,7 @@ from .quantile import PseudoInverse, bijectivity_report
 from .sampling import (
     RNG_ID, QuadratureSpec, Sampler, indicator, indicator_split_levels, integrate,
 )
-from .spaces import OrderedSpace, space_from_config, space_to_config
+from .spaces import OrderedSpace, config_number, space_from_config, space_to_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,22 +55,21 @@ def _parse_element(space, value):
 def _measure_from_config(space, block) -> MeasureSpec:
     if not isinstance(block, dict):
         raise ConfigError("measure block must be an object")
-    atoms = []
-    for i, entry in enumerate(block.get("atoms", ())):
-        try:
-            at = _parse_element(space, entry["at"])
-        except (KeyError, DomainError) as exc:
-            raise ConfigError(f"measure.atoms[{i}]: {exc}") from exc
-        atoms.append((at, entry.get("mass")))
-    segments = []
-    for i, entry in enumerate(block.get("segments", ())):
-        try:
-            iv = parse_interval(space, entry["interval"])
-        except (KeyError, DomainError) as exc:
-            raise ConfigError(f"measure.segments[{i}]: {exc}") from exc
-        segments.append((iv, entry.get("mass")))
+    parsed = {}
+    for field, key, parse in (("atoms", "at", _parse_element),
+                              ("segments", "interval", parse_interval)):
+        parsed[field] = []
+        for i, entry in enumerate(block.get(field, ())):
+            path = f"measure.{field}[{i}]"
+            if not isinstance(entry, dict):
+                raise ConfigError(f"{path}: must be an object")
+            try:
+                where = parse(space, entry[key])
+            except (KeyError, DomainError) as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
+            parsed[field].append((where, config_number(entry.get("mass"), f"{path}.mass")))
     try:
-        return MeasureSpec(space, atoms=atoms, segments=segments)
+        return MeasureSpec(space, **parsed)
     except ConstructionError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -321,3 +320,7 @@ def main(argv=None, out=None) -> int:
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -353,7 +353,7 @@ def _split_top_level(text: str, sep: str = ","):
 
 
 def parse_interval(space: OrderedSpace, text: str) -> Interval:
-    text = text.strip()
+    text = text.strip() if isinstance(text, str) else repr(text)
     if len(text) < 2 or text[0] not in "([" or text[-1] not in ")]":
         raise DomainError(f"bad interval syntax {text!r}")
     lo_closed = text[0] == "["

@@ -6,6 +6,7 @@ the brute-force side of most oracles: it never touches the cdf code.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -44,16 +45,16 @@ class MeasureSpec:
     def __init__(self, space: OrderedSpace, atoms: Sequence[Tuple[object, float]] = (),
                  segments: Sequence[Tuple[Interval, float]] = ()):
         self.space = space
-        seen = []
+        seen = set()
         atom_list = []
         for at, mass in atoms:
             if not space.contains(at):
                 raise ConstructionError(f"atom at {at!r} lies outside the space")
             if not mass > 0:
                 raise ConstructionError(f"atom at {at!r} must have positive mass")
-            if any(space._cmp(at, other) == 0 for other in seen):
+            if space.key(at) in seen:
                 raise ConstructionError(f"duplicate atom at {at!r}")
-            seen.append(at)
+            seen.add(space.key(at))
             atom_list.append(Atom(at, float(mass)))
         atom_list.sort(key=lambda a: space.key(a.at))
 
@@ -72,16 +73,13 @@ class MeasureSpec:
             if not length > 0:
                 raise ConstructionError(f"segment {canon} has zero length")
             seg_list.append(DensitySegment(canon, float(mass), float(mass) / length))
-        for i, a in enumerate(seg_list):
-            for b in seg_list[i + 1:]:
-                ua = IntervalUnion(space, (a.interval,))
-                ub = IntervalUnion(space, (b.interval,))
-                inter = ua.intersect(ub)
-                if any(space.length(iv) > 0 for iv in inter.intervals):
-                    raise ConstructionError(f"segments {a.interval} and {b.interval} overlap")
         seg_list.sort(key=lambda s: space.key(s.interval.lo))
+        # sorted by lower end, segments overlap iff some neighbours do
+        for a, b in zip(seg_list, seg_list[1:]):
+            if space.key(b.interval.lo) < space.key(a.interval.hi):
+                raise ConstructionError(f"segments {a.interval} and {b.interval} overlap")
 
-        total = sum(a.mass for a in atom_list) + sum(s.mass for s in seg_list)
+        total = math.fsum([a.mass for a in atom_list] + [s.mass for s in seg_list])
         if not atom_list and not seg_list:
             raise ConstructionError("measure.total_mass: empty measure specification")
         if abs(total - 1.0) > MASS_TOLERANCE:

@@ -1,10 +1,10 @@
 """The pseudo-inverse G(r) = inf of the super-level set of F at r.
 
-G is assembled as a closed-form piece table: a constant piece per atom
-(its plateau of quantile levels) and an affine piece per uniform segment
-run, split wherever an atom sits inside a segment.  The definitional
-grid scan lives in the oracle module and is kept independent so the
-closed form is genuinely tested.
+G reads the closed-form piece table of its cdf (see the cdf module): a
+constant piece per atom (its plateau of quantile levels) and an affine
+piece per uniform segment run, split wherever an atom sits inside a
+segment.  The definitional grid scan lives in the oracle module and is
+kept independent so the closed form is genuinely tested.
 
 The table is read two ways.  ``try_eval`` maps one level with a bisect
 over the piece list; ``eval_many`` maps a whole level array at once from
@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cdf import Cdf
+from .cdf import Cdf, GPiece
 from .errors import DomainError, PropositionViolation, UndefinedPointError
 from .intervals import Interval, IntervalUnion, singleton
 from .measure import atom_set
@@ -52,61 +52,6 @@ class UnitInterval:
         if r > self.hi or (r == self.hi and not self.hi_closed):
             return False
         return True
-
-
-@dataclass(frozen=True)
-class GPiece:
-    """One closed-form piece of G over the quantile range ]r_lo, r_hi]."""
-
-    kind: str               # "atom" | "affine"
-    r_lo: float
-    r_hi: float
-    point: object = None    # atom pieces
-    region: object = None   # affine pieces: the region of the run (space.split)
-    u: float = 0.0          # affine: inner coordinates of the run
-    v: float = 0.0
-    density: float = 0.0
-
-    def point_at(self, space, r):
-        if self.kind == "atom":
-            return self.point
-        coord = self.u + (r - self.r_lo) / self.density
-        coord = min(max(coord, self.u), self.v)
-        return space.join(self.region, coord)
-
-
-def _build_pieces(space, spec) -> List[GPiece]:
-    items = []  # (sort_key, tiebreak, payload)
-    for seg in spec.segments:
-        region, u = space.split(seg.interval.lo)
-        _, v = space.split(seg.interval.hi)
-        cuts = []
-        for a in spec.atoms:
-            a_region, t = space.split(a.at)
-            if a_region == region and u <= t <= v:
-                cuts.append(t)
-        coords = sorted({u, v, *cuts})
-        for lo_c, hi_c in zip(coords, coords[1:]):
-            items.append((space.key(space.join(region, lo_c)), 1,
-                          ("affine", region, lo_c, hi_c, seg.density)))
-    for a in spec.atoms:
-        items.append((space.key(a.at), 0, ("atom", a.at, a.mass)))
-    items.sort(key=lambda it: (it[0], it[1]))
-
-    pieces: List[GPiece] = []
-    c = 0.0
-    for _, _, payload in items:
-        if payload[0] == "atom":
-            _, at, mass = payload
-            pieces.append(GPiece("atom", c, c + mass, point=at))
-            c += mass
-        else:
-            _, region, lo_c, hi_c, density = payload
-            mass = density * (hi_c - lo_c)
-            pieces.append(GPiece("affine", c, c + mass, region=region,
-                                 u=lo_c, v=hi_c, density=density))
-            c += mass
-    return pieces
 
 
 @dataclass(frozen=True)
@@ -160,7 +105,7 @@ class PseudoInverse:
     def __init__(self, cdf: Cdf):
         self.cdf = cdf
         self.space = cdf.space
-        self.pieces = _build_pieces(cdf.space, cdf.spec)
+        self.pieces = cdf.pieces
         self._r_his = [p.r_hi for p in self.pieces]
 
     @cached_property
@@ -179,9 +124,7 @@ class PseudoInverse:
         if r == 0.0:
             # the super-level set at 0 is all of X
             return self.space.minimum()
-        idx = bisect.bisect_left(self._r_his, r)
-        if idx >= len(self.pieces):
-            idx = len(self.pieces) - 1
+        idx = bisect.bisect_left(self._r_his, r)  # below len: the last r_hi is 1
         point = self.pieces[idx].point_at(self.space, r)
         return point if self.space.contains(point) else None
 
@@ -198,7 +141,6 @@ class PseudoInverse:
             raise _level_outside(float(levels[np.argmax(outside)]))
         col = self._columns
         idx = np.searchsorted(col.r_hi, levels, side="left")
-        np.minimum(idx, len(self.pieces) - 1, out=idx)
         region_of = col.region[idx]
         u, v = col.u[idx], col.v[idx]
         coord = u + (levels - col.r_lo[idx]) / col.density[idx]

@@ -156,7 +156,6 @@ def indicator_split_levels(gi: PseudoInverse, subset) -> Tuple[float, ...]:
     u = as_union(gi.space, subset)
     levels = []
     for iv in u.intervals:
-        for endpoint in (iv.lo, iv.hi):
-            levels.append(gi.cdf._mass_strictly_below(endpoint))
-            levels.append(gi.cdf._F(endpoint))
+        levels += [gi.cdf._mass_below(end, closed)
+                   for end in (iv.lo, iv.hi) for closed in (False, True)]
     return tuple(sorted(set(levels)))

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -608,24 +609,49 @@ def classify_isolation(space: OrderedSpace, x) -> IsolationReport:
     return IsolationReport(x, left, right, lw, rw)
 
 
+def config_number(value, path: str, integral: bool = False):
+    """A finite JSON number of a config file, a whole one if ``integral``;
+    anything else, booleans included, is a ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max \
+            or (integral and not float(value).is_integer()):
+        want = "integer" if integral else "number"
+        raise ConfigError(f"{path}: must be a finite {want}, got {value!r}")
+    return value
+
+
 def space_from_config(block: dict) -> OrderedSpace:
     """Build a space from its config-file block (see the cli module)."""
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("space block must be an object with a 'kind' field")
     kind = block["kind"]
 
-    def real(spec):
-        return RealIntervalSpace(spec["lo"], spec["hi"],
-                                 spec.get("include_lo", True), spec.get("include_hi", True))
+    def labels(field):
+        value = block[field]
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"space.{field}: must be a list of strings, got {value!r}")
+        return value
+
+    def real(spec, path):
+        flags = [spec.get(field, True) for field in ("include_lo", "include_hi")]
+        if not all(isinstance(flag, bool) for flag in flags):
+            raise ConfigError(f"{path}.include_lo/include_hi: must be true or false")
+        return RealIntervalSpace(config_number(spec["lo"], f"{path}.lo"),
+                                 config_number(spec["hi"], f"{path}.hi"), *flags)
     try:
         if kind == "finite":
-            return FiniteSpace(block["labels"])
+            return FiniteSpace(labels("labels"))
         if kind == "int_range":
-            return IntRangeSpace(block["lo"], block["hi"])
+            return IntRangeSpace(config_number(block["lo"], "space.lo", integral=True),
+                                 config_number(block["hi"], "space.hi", integral=True))
         if kind == "real_interval":
-            return real(block)
+            return real(block, "space")
         if kind == "lex":
-            return LexSpace(block["outer"], {o: real(spec) for o, spec in block["fibers"].items()})
+            fibers = block["fibers"]
+            if not (isinstance(fibers, dict) and all(isinstance(f, dict) for f in fibers.values())):
+                raise ConfigError("space.fibers: must map each outer label to an object")
+            return LexSpace(labels("outer"),
+                            {o: real(spec, f"space.fibers.{o}") for o, spec in fibers.items()})
     except KeyError as exc:
         raise ConfigError(f"space.{exc.args[0]}: missing field for kind {kind!r}") from exc
     raise ConfigError(f"space.kind: unknown kind {kind!r}")

@@ -222,8 +222,78 @@ def test_numeric_integrand_on_labels_is_a_config_error(tmp_path, capsys, expr):
 def test_python_dash_m_entry_point():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-m", "ordercdf", "eval-cdf", "--case", "three-atom", "--at", "b"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == EXIT_OK, done.stderr
-    assert done.stdout.strip() == "0.5"
+    for module, argv, printed in [
+            ("ordercdf", ["eval-cdf", "--case", "three-atom", "--at", "b"], "0.5"),
+            ("ordercdf.cli", ["interval-measure", "--case", "uniform", "--interval", "[0,1]"],
+             "1")]:
+        done = subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.strip() == printed
+
+
+REAL = {"kind": "real_interval", "lo": 0.0, "hi": 1.0}
+LEX = {"kind": "lex", "outer": ["a"], "fibers": {"a": {"lo": 0.0, "hi": 1.0}}}
+INFINITY = float("inf")
+
+
+def _space(space, at=0.5):
+    return {"space": space, "measure": {"atoms": [{"at": at, "mass": 1.0}]}}
+
+
+def _atom(entry):
+    return {"space": THREE_ATOM["space"], "measure": {"atoms": [entry]}}
+
+
+def _segment(entry):
+    return {"space": REAL, "measure": {"segments": [entry]}}
+
+
+def _row(name, config, prefix, code=EXIT_CONFIG):
+    return pytest.param(config, code, "config error: " + prefix, id=name)
+
+
+#: (config, exit code, start of the one line on stderr)
+BAD_CONFIGS = [
+    _row("atom-mass-string", _atom({"at": "a", "mass": "1"}),
+         "measure.atoms[0].mass: must be a finite number"),
+    _row("atom-mass-missing", _atom({"at": "a"}),
+         "measure.atoms[0].mass: must be a finite number, got None"),
+    _row("atom-mass-bool", _atom({"at": "a", "mass": True}),
+         "measure.atoms[0].mass: must be a finite number"),
+    _row("atom-mass-inf", _atom({"at": "a", "mass": INFINITY}),
+         "measure.atoms[0].mass: must be a finite number"),
+    _row("atom-mass-huge-int", _atom({"at": "a", "mass": 10 ** 400}),
+         "measure.atoms[0].mass: must be a finite number"),
+    _row("atom-mass-nan", _atom({"at": "a", "mass": float("nan")}),
+         "measure.atoms[0].mass: must be a finite number"),
+    _row("atom-not-object", _atom("a"), "measure.atoms[0]: must be an object"),
+    _row("segment-mass-string", _segment({"interval": "[0,1]", "mass": "1"}),
+         "measure.segments[0].mass: must be a finite number"),
+    _row("segment-interval-number", _segment({"interval": 1, "mass": 1.0}),
+         "measure.segments[0]: bad interval syntax"),
+    _row("real-hi-inf", _space(dict(REAL, hi=INFINITY)), "space.hi: must be a finite number"),
+    _row("real-lo-string", _space(dict(REAL, lo="0")), "space.lo: must be a finite number"),
+    _row("real-include-string", _space(dict(REAL, include_lo="no")),
+         "space.include_lo/include_hi: must be true or false"),
+    _row("lex-fiber-hi-inf", _space(dict(LEX, fibers={"a": {"lo": 0.0, "hi": INFINITY}}),
+                                    "(a,0.5)"),
+         "space.fibers.a.hi: must be a finite number"),
+    _row("lex-outer-string", _space(dict(LEX, outer="a"), "(a,0.5)"),
+         "space.outer: must be a list of strings"),
+    _row("finite-labels-string", _space({"kind": "finite", "labels": "ab"}, "a"),
+         "space.labels: must be a list of strings"),
+    _row("int-hi-inf", _space({"kind": "int_range", "lo": 0, "hi": INFINITY}, 0),
+         "space.hi: must be a finite integer"),
+    _row("int-hi-fraction", _space({"kind": "int_range", "lo": 0, "hi": 2.5}, 0),
+         "space.hi: must be a finite integer"),
+]
+
+
+@pytest.mark.parametrize("config, code, prefix", BAD_CONFIGS)
+def test_bad_config_table(tmp_path, capsys, config, code, prefix):
+    path = write(tmp_path, config)
+    assert run("report", "--config", path)[0] == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -5,6 +5,8 @@ docstring), so an ``isinstance``/``hasattr`` test on a space class or on
 the kind-specific attributes ``fiber``/``outer``/``_index`` elsewhere is a
 kind branch that belongs in a space class.  The closed-form and algebra
 layers must not import the brute-force oracle they are checked against.
+Only cdf.py builds pieces of the cumulative-mass table that F, F_minus
+and G read, so no other module constructs a ``GPiece``.
 """
 import ast
 from pathlib import Path
@@ -19,6 +21,9 @@ ALLOWED = {("oracle.py", "random_atomic_spec")}
 
 #: Modules below the oracle, which must not import it.
 BELOW_ORACLE = ("intervals.py", "measure.py", "cdf.py", "quantile.py", "sampling.py")
+
+#: The one module that builds the table of cumulative masses.
+TABLE_MODULE = "cdf.py"
 
 
 def _space_classes():
@@ -80,6 +85,18 @@ def oracle_imports(path: Path):
     return found
 
 
+def piece_constructions(path: Path):
+    """Lines of calls to ``GPiece``, by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "GPiece":
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
 def test_no_kind_branch_outside_spaces():
     classes = _space_classes()
     assert {"OrderedSpace", "FiniteSpace", "IntRangeSpace",
@@ -108,3 +125,23 @@ def test_guard_sees_a_planted_branch(tmp_path):
         "    return hasattr(space, 'fiber')\n")
     assert kind_branches(planted, _space_classes()) == ["cdf.py:3", "cdf.py:5"]
     assert oracle_imports(planted) == ["cdf.py:1"]
+
+
+def test_only_cdf_builds_pieces():
+    assert piece_constructions(PACKAGE / TABLE_MODULE)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != TABLE_MODULE:
+            found += piece_constructions(path)
+    assert not found, f"GPiece built outside {TABLE_MODULE}: {found}"
+
+
+def test_guard_sees_a_planted_piece(tmp_path):
+    planted = tmp_path / "quantile.py"
+    planted.write_text(
+        "from . import cdf\n"
+        "from .cdf import GPiece\n"
+        "def table():\n"
+        "    return [GPiece('atom', 0.0, 0.5),\n"
+        "            cdf.GPiece('atom', 0.5, 1.0)]\n")
+    assert piece_constructions(planted) == ["quantile.py:4", "quantile.py:5"]
