@@ -117,7 +117,25 @@ def load_config(path: str) -> RunConfig:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
-    return RunConfig(space, spec, seed)
+    config = RunConfig(space, spec, seed)
+    _reject_unknown_fields(raw, config_to_dict(config), "")
+    return config
+
+
+def _reject_unknown_fields(raw, normalized, path: str) -> None:
+    """Every key of the raw JSON must appear at the same path of the
+    normalized config; a list entry is held to the keys of the list's
+    normalized entries."""
+    if isinstance(raw, dict) and isinstance(normalized, dict):
+        for key, value in raw.items():
+            if key not in normalized:
+                raise ConfigError(f"{path or 'config root'}: unknown field {key!r}")
+            _reject_unknown_fields(value, normalized[key], f"{path}.{key}" if path else key)
+    elif isinstance(raw, list) and isinstance(normalized, list):
+        entry_keys = {key: value for entry in normalized if isinstance(entry, dict)
+                      for key, value in entry.items()}
+        for i, entry in enumerate(raw):
+            _reject_unknown_fields(entry, entry_keys, f"{path}[{i}]")
 
 
 def _resolve(args) -> tuple:
@@ -202,8 +220,7 @@ def _cmd_integrate(args, out):
     name, config = _resolve(args)
     gi = PseudoInverse(Cdf(config.space, config.spec))
     g, splits = _integrand(config.space, gi, args.expr)
-    quad = QuadratureSpec(subdivisions=args.subdivisions, split_at=splits)
-    print(_fmt(integrate(gi, g, quad)), file=out)
+    print(_fmt(integrate(gi, g, QuadratureSpec(split_at=splits))), file=out)
     return EXIT_OK
 
 
@@ -283,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("integrate", _cmd_integrate, help="integrate a built-in function")
     p.add_argument("--expr", required=True,
                    help="identity | square | indicator:<intervals>")
-    p.add_argument("--subdivisions", type=int, default=1024)
 
     p = add("verify", _cmd_verify, help="run the proposition suite")
     p.add_argument("--all", action="store_true", help="verify every built-in instance")

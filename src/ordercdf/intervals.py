@@ -72,10 +72,6 @@ class Interval:
         if is_infinite(self.hi) and self.hi_closed:
             raise DomainError("an infinite endpoint can never be closed")
 
-    @property
-    def is_singleton(self) -> bool:
-        return self.lo_closed and self.hi_closed and self.lo == self.hi
-
 
 def singleton(x) -> Interval:
     return Interval(x, x, True, True)

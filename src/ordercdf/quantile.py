@@ -181,14 +181,6 @@ class PseudoInverse:
         return (f"the super-level set at level {r!r} has an infimum at an "
                 f"excluded boundary of {self.space.describe()}")
 
-    def domain_description(self) -> str:
-        if self.space.complete:
-            return "[0,1]"
-        missing = [r for r in (0.0, 1.0) if not self.is_defined(r)]
-        if not missing:
-            return "[0,1]"
-        return "[0,1] minus " + ", ".join(repr(r) for r in missing)
-
     # -- order-theoretic diagnostics ----------------------------------
     def galois_check(self, r: float, x) -> Optional[bool]:
         """(G(r) <= x) with the adjunction (r <= F(x)) cross-asserted.
@@ -305,10 +297,6 @@ class BijectivityReport:
     def consistent(self) -> bool:
         return (self.identities_hold == self.f_injective_onto
                 == self.g_bijective == self.support_atom_condition)
-
-    @property
-    def bijective(self) -> bool:
-        return self.g_bijective
 
 
 def bijectivity_report(gi: PseudoInverse, n_probes: int = 200,

@@ -5,7 +5,8 @@ refused on incomplete spaces, where G can be undefined on a null set of
 levels and the pushforward argument needs every draw to land in X.
 Integration uses the identity  integral of g d(mu) = integral of g(G(t)) dt
 over ]0,1[, evaluated piecewise: atom plateaus contribute exactly and
-affine pieces get a composite midpoint rule.
+affine pieces get a 5-node Gauss-Legendre rule that halves a cell only
+where its two half-cell estimates disagree with the whole-cell one.
 """
 from __future__ import annotations
 
@@ -103,45 +104,77 @@ def pushforward_check(gi: PseudoInverse, subset) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite midpoint settings for the affine pieces of G.
+    """Where to cut the affine pieces of G before integrating them.
 
-    ``split_at`` lists quantile levels where the integrand is known to be
-    discontinuous (e.g. the F-value of an indicator's boundary); cells
-    are aligned with them so the midpoint rule stays exact there.
+    ``split_at`` lists quantile levels where the integrand is known to jump
+    or to have a kink (e.g. the F-value of an indicator's boundary); cells
+    start and end there, so an integrand that is constant, or a polynomial
+    of degree at most 9, between them is integrated exactly without
+    refinement.  List every such level: no sample of the rule falls within
+    2.3% of a cell's width of its ends, so it cannot see a kink there.
     """
 
-    subdivisions: int = 1024
     split_at: Tuple[float, ...] = ()
+
+
+#: (node, weight) of the 5-point Gauss-Legendre rule on [-1, 1], exact for
+#: polynomials up to degree 9 (Golub & Welsch, 1969).
+_GAUSS_LEGENDRE_5 = (
+    (-math.sqrt(5 + 2 * math.sqrt(10 / 7)) / 3, (322 - 13 * math.sqrt(70)) / 900),
+    (-math.sqrt(5 - 2 * math.sqrt(10 / 7)) / 3, (322 + 13 * math.sqrt(70)) / 900),
+    (0.0, 128 / 225),
+    (math.sqrt(5 - 2 * math.sqrt(10 / 7)) / 3, (322 + 13 * math.sqrt(70)) / 900),
+    (math.sqrt(5 + 2 * math.sqrt(10 / 7)) / 3, (322 - 13 * math.sqrt(70)) / 900),
+)
+
+#: A cell is accepted when its halves agree with it to this relative error...
+_REFINE_TOL = 1e-13
+#: ...or when it has been halved this often (1/1024 of the cell cut at split_at).
+_MAX_HALVINGS = 10
+
+
+def _gauss_legendre(f: Callable[[float], float], lo: float, hi: float) -> float:
+    half = 0.5 * (hi - lo)
+    mid = lo + half
+    return half * sum(w * f(mid + half * x) for x, w in _GAUSS_LEGENDRE_5)
+
+
+def _refine(f: Callable[[float], float], lo: float, hi: float, whole: float,
+            halvings: int = 1) -> float:
+    """Integral of f on [lo, hi], given the rule's estimate ``whole`` there."""
+    mid = 0.5 * (lo + hi)
+    left, right = _gauss_legendre(f, lo, mid), _gauss_legendre(f, mid, hi)
+    # written so that a NaN estimate stops the refinement too
+    if halvings == _MAX_HALVINGS or \
+            not abs(left + right - whole) > _REFINE_TOL * (abs(left) + abs(right)):
+        return left + right
+    return (_refine(f, lo, mid, left, halvings + 1)
+            + _refine(f, mid, hi, right, halvings + 1))
 
 
 def integrate(gi: PseudoInverse, g: Callable[[object], float],
               quad: QuadratureSpec = QuadratureSpec()) -> float:
     """integral of g d(mu) computed as integral of g(G(t)) dt on ]0,1[."""
+
+    def value(point):
+        try:
+            return g(point)
+        except Exception as exc:
+            raise IntegrandError(point, exc) from exc
+
     total = 0.0
     for piece in gi.pieces:
         if piece.kind == "atom":
-            try:
-                value = g(piece.point)
-            except Exception as exc:
-                raise IntegrandError(piece.point, exc) from exc
-            total += value * (piece.r_hi - piece.r_lo)
+            total += value(piece.point) * (piece.r_hi - piece.r_lo)
             continue
+
+        def g_of_G(r):
+            return value(piece.point_at(gi.space, r))
+
         cuts = sorted({piece.r_lo, piece.r_hi,
                        *(r for r in quad.split_at if piece.r_lo < r < piece.r_hi)})
         for lo, hi in zip(cuts, cuts[1:]):
-            width = hi - lo
-            if width <= 0.0:
-                continue
-            cells = max(1, round(quad.subdivisions * width / (piece.r_hi - piece.r_lo)))
-            step = width / cells
-            for i in range(cells):
-                r = lo + (i + 0.5) * step
-                point = piece.point_at(gi.space, r)
-                try:
-                    value = g(point)
-                except Exception as exc:
-                    raise IntegrandError(point, exc) from exc
-                total += value * step
+            total += _refine(g_of_G, lo, hi, _gauss_legendre(g_of_G, lo, hi))
     return total
 
 

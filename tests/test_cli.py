@@ -140,6 +140,13 @@ def test_integrate_subcommand(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_integrate_square_is_exact_and_takes_no_subdivisions():
+    code, out = run("integrate", "--case", "mixed", "--expr", "square")
+    assert code == EXIT_OK and out == "0.291666666666667\n"  # 7/24
+    code, _ = run("integrate", "--case", "mixed", "--expr", "square", "--subdivisions", "8")
+    assert code == EXIT_CONFIG
+
+
 def test_verify_all_passes():
     code, out = run("verify", "--all")
     assert code == EXIT_OK
@@ -287,6 +294,23 @@ BAD_CONFIGS = [
          "space.hi: must be a finite integer"),
     _row("int-hi-fraction", _space({"kind": "int_range", "lo": 0, "hi": 2.5}, 0),
          "space.hi: must be a finite integer"),
+    _row("unknown-top-level-field", dict(_space(REAL), bogus=1),
+         "config root: unknown field 'bogus'"),
+    _row("unknown-space-field", _space(dict(REAL, hj=2)), "space: unknown field 'hj'"),
+    _row("unknown-measure-field", {"space": REAL, "measure": {
+        "atoms": [{"at": 0.5, "mass": 1.0}], "extra": 1}}, "measure: unknown field 'extra'"),
+    _row("unknown-segment-field", _segment({"interval": "[0,1]", "mass": 1.0, "mas": 2}),
+         "measure.segments[0]: unknown field 'mas'"),
+    _row("unknown-atom-field", _atom({"at": "a", "mass": 1.0, "weight": 1}),
+         "measure.atoms[0]: unknown field 'weight'"),
+    _row("unknown-lex-fiber-label", _space(dict(LEX, fibers={"a": {"lo": 0.0, "hi": 1.0},
+                                                             "b": {"lo": 0.0, "hi": 1.0}}),
+                                           "(a,0.5)"),
+         "space.fibers: unknown field 'b'"),
+    _row("unknown-lex-fiber-field", _space(dict(LEX, fibers={"a": {"lo": 0.0, "hi": 1.0,
+                                                                   "kind": "real_interval"}}),
+                                           "(a,0.5)"),
+         "space.fibers.a: unknown field 'kind'"),
 ]
 
 

@@ -2,8 +2,10 @@
 
 The digests were recorded from ``ordercdf sample --case <c> --n 1000
 --seed 42`` and ``ordercdf verify --all`` before the space kinds took over
-their own behaviour.  A change that alters these outputs on purpose must
-say so and record the new digests here.
+their own behaviour.  The printed ``ordercdf integrate`` outputs were
+recorded when the Gauss-Legendre rule replaced the midpoint loop, and each
+is also checked against its closed form.  A change that alters these
+outputs on purpose must say so and record the new values here.
 """
 import hashlib
 import io
@@ -37,3 +39,29 @@ def test_seeded_sample_output_is_unchanged(case):
 
 def test_verify_all_output_is_unchanged():
     assert digest("verify", "--all") == VERIFY_ALL_SHA256
+
+
+#: (case, expr) -> (printed output of ``ordercdf integrate``, closed form)
+INTEGRATE_OUTPUT = {
+    ("three-atom", "indicator:[b,c]"): ("0.8", 0.3 + 0.5),
+    ("uniform", "identity"): ("0.5", 1 / 2),
+    ("uniform", "square"): ("0.333333333333333", 1 / 3),
+    ("uniform", "indicator:(0.2,0.7]"): ("0.5", 0.5),
+    ("mixed", "identity"): ("0.5", 0.5 * 0.5 + 0.5 * 0.5),
+    ("mixed", "square"): ("0.291666666666667", 0.5 * 0.25 + 0.5 / 3),
+    ("mixed", "indicator:[0.25,0.5]"): ("0.625", 0.5 * 0.25 + 0.5),
+    ("gapped", "identity"): ("0.5", 0.5 * 0.2 + 0.5 * 0.8),
+    ("gapped", "square"): ("0.353333333333333",
+                           0.5 * 0.4 ** 2 / 3 + 0.5 * (1 - 0.6 ** 3) / (3 * 0.4)),
+    ("gapped", "indicator:[0.3,0.7)"): ("0.25", 0.5 * 0.25 + 0.5 * 0.25),
+    ("lex-mixed", "indicator:[(0,0.5),(1,0.25)]"): ("0.45", 0.5 * 0.5 + 0.1 + 0.4 * 0.25),
+}
+
+
+@pytest.mark.parametrize("case, expr", sorted(INTEGRATE_OUTPUT))
+def test_integrate_output_is_unchanged_and_exact(case, expr):
+    out = io.StringIO()
+    assert main(["integrate", "--case", case, "--expr", expr], out=out) == EXIT_OK
+    printed, exact = INTEGRATE_OUTPUT[case, expr]
+    assert out.getvalue() == printed + "\n"
+    assert abs(float(printed) - exact) <= 1e-12

@@ -205,8 +205,7 @@ def test_integrate_atoms_exact():
 def test_uniform_mean_and_square():
     gi = instance_gi("uniform")
     assert integrate(gi, lambda x: x) == pytest.approx(0.5, abs=1e-8)
-    quad = QuadratureSpec(subdivisions=4096)
-    assert integrate(gi, lambda x: x * x, quad) == pytest.approx(1 / 3, abs=1e-8)
+    assert integrate(gi, lambda x: x * x) == pytest.approx(1 / 3, abs=1e-8)
 
 
 def test_integrate_linearity():
@@ -223,13 +222,15 @@ def test_integrate_linearity():
 
 def test_indicator_coherence():
     rng = random.Random(71)
-    for name in COMPLETE_INSTANCE_NAMES:
-        gi = instance_gi(name)
+    gis = [instance_gi(name) for name in COMPLETE_INSTANCE_NAMES] + list(random_gis(per_kind=5))
+    for gi in gis:
         for _ in range(40):
             u = random_interval_union(gi.space, rng)
             quad = QuadratureSpec(split_at=indicator_split_levels(gi, u))
-            got = integrate(gi, indicator(gi.space, u), quad)
-            assert got == pytest.approx(measure_of(gi.cdf.spec, u), abs=1e-9)
+            g = Counted(indicator(gi.space, u))
+            got = integrate(gi, g, quad)
+            assert got == pytest.approx(measure_of(gi.cdf.spec, u), abs=1e-12)
+            assert g.calls <= calls_per_cell(gi, quad.split_at, 15), gi.space.describe()
 
 
 def test_integrand_errors_carry_the_point():
@@ -244,3 +245,142 @@ def test_integrand_errors_carry_the_point():
     with pytest.raises(IntegrandError) as err:
         integrate(gi, bad)
     assert err.value.point > 0.7
+
+
+# ---------------------------------------------------------------------------
+# the self-refining Gauss-Legendre rule
+
+
+class Counted:
+    """An integrand that counts its calls."""
+
+    def __init__(self, g):
+        self.g = g
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.g(x)
+
+
+def calls_per_cell(gi, split_at, per_cell):
+    """``per_cell`` calls for each cell the affine pieces are cut into at
+    ``split_at``, plus one call per atom."""
+    calls = 0
+    for piece in gi.pieces:
+        if piece.kind == "atom":
+            calls += 1
+            continue
+        cuts = sorted({piece.r_lo, piece.r_hi,
+                       *(r for r in split_at if piece.r_lo < r < piece.r_hi)})
+        calls += per_cell * (len(cuts) - 1)
+    return calls
+
+
+def midpoint_integrate(gi, g):
+    """The 1024-cell midpoint loop that the Gauss-Legendre rule replaced,
+    kept as the reference it must not do worse than."""
+    total = 0.0
+    for piece in gi.pieces:
+        if piece.kind == "atom":
+            total += g(piece.point) * (piece.r_hi - piece.r_lo)
+            continue
+        step = (piece.r_hi - piece.r_lo) / 1024
+        for i in range(1024):
+            total += g(piece.point_at(gi.space, piece.r_lo + (i + 0.5) * step)) * step
+    return total
+
+
+def numeric_gis(seed, per_kind=20):
+    """Seeded random measures on real intervals and lex products, with atoms
+    inside segments (one forced into each segment) and random masses."""
+    rng = random.Random(seed)
+    for kind in ("real_interval", "lex"):
+        for _ in range(per_kind):
+            space = random_space(kind, rng)
+            spec = random_measure(space, rng)
+            atoms = [(a.at, a.mass) for a in spec.atoms]
+            for seg in spec.segments:
+                region, u = space.split(seg.interval.lo)
+                atoms.append((space.join(region, u + (space.split(seg.interval.hi)[1] - u)
+                                         * rng.uniform(0.2, 0.8)), rng.random()))
+            masses = [m for _, m in atoms] + [seg.mass for seg in spec.segments]
+            total = sum(masses)
+            masses = [m / total for m in masses]
+            masses[-1] = 1.0 - sum(masses[:-1])
+            spec = MeasureSpec(space, atoms=[(at, m) for (at, _), m in zip(atoms, masses)],
+                               segments=[(seg.interval, m) for seg, m
+                                         in zip(spec.segments, masses[len(atoms):])])
+            yield PseudoInverse(Cdf(space, spec))
+
+
+def closed_form(gi, f, antiderivative):
+    """integral of f(inner coordinate) d(mu), summed over atoms and segments."""
+    space, spec = gi.space, gi.cdf.spec
+    total = sum(a.mass * f(space.split(a.at)[1]) for a in spec.atoms)
+    for seg in spec.segments:
+        u, v = space.split(seg.interval.lo)[1], space.split(seg.interval.hi)[1]
+        total += seg.density * (antiderivative(v) - antiderivative(u))
+    return total
+
+
+def of_inner(gi, f):
+    return lambda p: f(gi.space.split(p)[1])
+
+
+def polynomial(coefs):
+    f = lambda y: sum(c * y ** k for k, c in enumerate(coefs))
+    antiderivative = lambda y: sum(c * y ** (k + 1) / (k + 1) for k, c in enumerate(coefs))
+    return f, antiderivative
+
+
+def test_integrate_smooth_integrands_to_closed_form():
+    rng = random.Random(97)
+    for gi in numeric_gis(101):
+        # (f, antiderivative, calls per cell): a polynomial of degree <= 9 is
+        # exact on the first cell; the depth cap bounds the other integrands
+        cases = [(*polynomial([rng.uniform(-1, 1) for _ in range(degree + 1)]), 15)
+                 for degree in range(10)]
+        cases += [(math.exp, math.exp, 10235),
+                  (lambda y: math.sin(20 * y), lambda y: -math.cos(20 * y) / 20, 10235)]
+        for f, antiderivative, per_cell in cases:
+            g = Counted(of_inner(gi, f))
+            got = integrate(gi, g)
+            assert abs(got - closed_form(gi, f, antiderivative)) <= 1e-12, gi.space.describe()
+            assert g.calls <= calls_per_cell(gi, (), per_cell), gi.space.describe()
+
+
+def test_integrate_sqrt_no_worse_than_midpoint():
+    for gi in numeric_gis(109):
+        exact = closed_form(gi, math.sqrt, lambda y: 2 / 3 * y ** 1.5)
+        got = integrate(gi, of_inner(gi, math.sqrt))
+        reference = midpoint_integrate(gi, of_inner(gi, math.sqrt))
+        assert abs(got - exact) <= abs(reference - exact), gi.space.describe()
+
+
+def test_integrate_kink_listed_in_split_at():
+    rng = random.Random(113)
+    for gi in numeric_gis(127):
+        c = rng.random()
+        kinks = tuple(gi.cdf.eval_F(gi.space.join(region, c)) for region in gi.space.regions
+                      if gi.space.fiber(region).contains(c))
+        f = lambda y: abs(y - c)
+        got = integrate(gi, of_inner(gi, f), QuadratureSpec(split_at=kinks))
+        exact = closed_form(gi, f, lambda y: (y - c) * abs(y - c) / 2)
+        assert abs(got - exact) <= 1e-12, gi.space.describe()
+
+
+def test_integrate_nan_stops_at_the_first_step():
+    for gi in numeric_gis(131, per_kind=5):
+        g = Counted(lambda p: math.nan)
+        assert math.isnan(integrate(gi, g))
+        assert g.calls == calls_per_cell(gi, (), 15)
+
+
+def test_integrate_refines_at_most_ten_times():
+    rng = random.Random(137)
+    for name in ("uniform", "mixed", "gapped", "lex-mixed"):
+        gi = instance_gi(name)
+        g = Counted(lambda p: rng.random())  # never agrees with its halves
+        integrate(gi, g)
+        assert g.calls == calls_per_cell(gi, (), 10235), name
